@@ -332,6 +332,10 @@ def _bench_solver() -> dict:
     ~1.8x at 56 x 56 and the factor grows with mesh size (~4x at 160 x 160);
     multigrid stays O(n) and takes the 160 x 160 extraction rung from ~5 s
     (CG/ILU) to ~1 s.
+
+    ``contact_space`` is the Kron reduction that extraction actually runs
+    on these meshes: it never solves the mesh system timed above (see
+    :func:`_bench_contact_space`).
     """
     import scipy.sparse as sp_mod
 
@@ -425,6 +429,88 @@ def _bench_solver() -> dict:
             "multigrid_max_abs_error": float(
                 np.max(np.abs(mg_solution - reference))),
         }
+    record["contact_space"] = _bench_contact_space(technology)
+    return record
+
+
+def _captured_kron_args(cell, technology, options) -> tuple:
+    """``(laplacian, port_nodes, port_names)`` that ``extract_substrate``
+    hands to ``kron_reduce`` for ``cell`` at the given mesh options."""
+    import repro.substrate.extraction as extraction_module
+    from repro.substrate import extract_substrate
+
+    captured: list[tuple] = []
+    original = extraction_module.kron_reduce
+
+    def capture(conductance, port_nodes, port_names, **kwargs):
+        captured.append((conductance, port_nodes, port_names))
+        return original(conductance, port_nodes, port_names, **kwargs)
+
+    extraction_module.kron_reduce = capture
+    try:
+        extract_substrate(cell, technology, options)
+    finally:
+        extraction_module.kron_reduce = original
+    return captured[0]
+
+
+def _bench_contact_space(technology) -> dict:
+    """Contact-space Kron reduction of the VCO test chip versus mesh size.
+
+    For each lateral resolution (default 80 um margin, so K, the contacted
+    surface cells, is 576 / 1166 / 2982 at 56² / 96² / 160²) the test
+    chip's 13 ports are reduced in contact space (best of 3, plus the
+    tracemalloc peak of one more call) and, up to 96², by the mesh solve
+    (direct LU on the assembled Laplacian) for the speedup and the
+    agreement, relative to max|Y|.  ``paper_flow`` is the calibrated mesh
+    of the VCO experiments (56², 60 um margin, K = 635) with the complete
+    ``run_extraction_flow`` of the Figure-10 loop timed on top.
+    """
+    import tracemalloc
+
+    from repro.substrate import SubstrateExtractionOptions, kron_reduce
+
+    cell = make_vco_testchip()
+
+    def rung(options, mesh_solve: bool) -> dict:
+        laplacian, port_nodes, names = _captured_kron_args(
+            cell, technology, options)
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            fast = kron_reduce(laplacian, port_nodes, names)
+            times.append(time.perf_counter() - start)
+        tracemalloc.start()
+        kron_reduce(laplacian, port_nodes, names)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        entry = {"nodes": laplacian.n_nodes,
+                 "contacted_cells": fast.contacted_cells,
+                 "method": fast.method,
+                 "contact_space_seconds": min(times),
+                 "contact_space_peak_mb": peak / 2**20,
+                 "contact_space_rowsum_resid": fast.residuals["rowsum"]}
+        if mesh_solve:
+            start = time.perf_counter()
+            slow = kron_reduce(laplacian.matrix(), port_nodes, names)
+            entry["mesh_solve_seconds"] = time.perf_counter() - start
+            entry["mesh_solve_vs_contact_space_speedup"] = (
+                entry["mesh_solve_seconds"] / entry["contact_space_seconds"])
+            entry["mesh_solve_rowsum_resid"] = slow.residuals["rowsum"]
+            entry["max_rel_difference"] = float(
+                np.abs(fast.admittance - slow.admittance).max()
+                / np.abs(slow.admittance).max())
+        return entry
+
+    record = {f"nx{nx}": rung(SubstrateExtractionOptions(nx=nx, ny=nx),
+                              nx <= 96)
+              for nx in (56, 96, 160)}
+    flow_options = VcoExperimentOptions().flow
+    paper = rung(flow_options.substrate, True)
+    start = time.perf_counter()
+    run_extraction_flow(cell, technology, options=flow_options)
+    paper["extraction_seconds"] = time.perf_counter() - start
+    record["paper_flow"] = paper
     return record
 
 

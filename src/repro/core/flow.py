@@ -58,8 +58,8 @@ class FlowTimings:
 
     ``mesh_assembly`` and ``kron_reduction`` break the substrate stage down
     further (they are *included in* ``substrate_extraction``, not added on
-    top), closing the historical blind spot where the dominant Kron solve
-    was invisible in benchmark stage breakdowns.
+    top).  ``mesh_assembly`` covers the mesh set-up only: the contact-space
+    Kron reduction assembles no mesh matrix.
     """
 
     substrate_extraction: float = 0.0
@@ -98,7 +98,8 @@ class FlowResult:
     devices: ExtractedCircuit
     impact: ImpactNetlist
     timings: FlowTimings
-    #: solver counters of the extraction's mesh solve (backend, CG traffic)
+    #: solver counters of the extraction's mesh solve (backend, CG traffic);
+    #: all zero when the Kron reduction ran in contact space
     solver_stats: SolverStats | None = None
 
     def summary(self) -> dict[str, int | float | str]:

@@ -98,10 +98,13 @@ class _NullSpan:
     __slots__ = ()
 
     def __enter__(self):
-        return None
+        return self
 
     def __exit__(self, *exc):
         return False
+
+    def set(self, **attrs) -> None:
+        """Discard attributes: nothing is recorded while tracing is off."""
 
 
 _NULL_SPAN = _NullSpan()

@@ -1,6 +1,6 @@
 """Substrate extraction: box-integration mesh, Kron reduction, port macromodel."""
 
-from .mesh import MeshSpec, SubstrateMesh
+from .mesh import LayeredLaplacian, MeshSpec, SubstrateMesh
 from .reduction import SubstrateMacromodel, kron_reduce
 from .extraction import (
     PortKind,
@@ -12,6 +12,7 @@ from .extraction import (
 )
 
 __all__ = [
+    "LayeredLaplacian",
     "MeshSpec",
     "PortKind",
     "SubstrateExtraction",

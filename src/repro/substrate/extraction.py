@@ -11,7 +11,9 @@ technology it
    coil oxide),
 2. meshes the substrate under and around the layout with a box-integration
    grid,
-3. reduces the mesh to an exact port-level macromodel (Kron reduction).
+3. reduces the mesh to an exact port-level macromodel (Kron reduction, in
+   contact space: only the substrate cells under the ports enter the
+   dense algebra).
 
 The result, a :class:`SubstrateExtraction`, carries the macromodel plus the
 book-keeping needed by :mod:`repro.extraction.merge` to connect each port to
@@ -193,11 +195,14 @@ def extract_substrate(cell: Cell, technology: ProcessTechnology,
                       solver=None) -> SubstrateExtraction:
     """Run the full substrate extraction for a layout cell.
 
-    ``solver`` (a :class:`~repro.simulator.linalg.SolverOptions` or
-    :class:`~repro.simulator.linalg.LinearSolver`) selects the backend for
-    the mesh solve of the Kron reduction — the dominant cost of the
-    extraction, and an SPD system the iterative backend can handle on meshes
-    too large for a direct LU.
+    The mesh is handed to :func:`~repro.substrate.reduction.kron_reduce` in
+    its separable form (:class:`~repro.substrate.mesh.LayeredLaplacian`):
+    its lateral edges are uniform, its conductivity depends only on depth
+    and every port sits on surface cells, so the reduction runs in contact
+    space and the mesh matrix is never assembled.  ``solver`` (a
+    :class:`~repro.simulator.linalg.SolverOptions` or
+    :class:`~repro.simulator.linalg.LinearSolver`) only serves the
+    mesh-solve fallback of that reduction.
     """
     options = options or SubstrateExtractionOptions()
     ports = identify_ports(cell, technology)
@@ -214,7 +219,7 @@ def extract_substrate(cell: Cell, technology: ProcessTechnology,
     t_mesh = time.perf_counter()
     with trace_span("extract.mesh", nx=options.nx, ny=options.ny):
         mesh = SubstrateMesh(spec=spec, profile=technology.substrate)
-        conductance = mesh.conductance_matrix()
+        laplacian = mesh.laplacian()
     mesh_seconds = time.perf_counter() - t_mesh
 
     port_nodes: list[list[tuple[int, float]]] = []
@@ -248,9 +253,8 @@ def extract_substrate(cell: Cell, technology: ProcessTechnology,
                            for node, area in sorted(overlaps.items())])
 
     t_kron = time.perf_counter()
-    macromodel = kron_reduce(conductance, port_nodes,
-                             [port.name for port in ports], solver=solver,
-                             grid=mesh.grid_geometry())
+    macromodel = kron_reduce(laplacian, port_nodes,
+                             [port.name for port in ports], solver=solver)
     kron_seconds = time.perf_counter() - t_kron
     return SubstrateExtraction(cell_name=cell.name, ports=ports,
                                macromodel=macromodel,

@@ -174,6 +174,14 @@ class SubstrateMesh:
 
     # -- assembly -----------------------------------------------------------------
 
+    def laplacian(self) -> "LayeredLaplacian":
+        """The mesh Laplacian in factored form (no matrix is assembled)."""
+        sigma = np.array([self.conductivity_at_depth(z)
+                          for z in self.cell_centers_z()])
+        return LayeredLaplacian(dx=np.diff(self.x_edges),
+                                dy=np.diff(self.y_edges),
+                                dz=np.diff(self.z_edges), sigma=sigma)
+
     def conductance_matrix(self) -> sp.csr_matrix:
         """Assemble the (n_nodes x n_nodes) substrate conductance Laplacian.
 
@@ -181,16 +189,57 @@ class SubstrateMesh:
         zero row sums (the substrate floats unless a backside contact is
         added by the caller) — properties the test-suite verifies.
         """
-        with trace_span("extract.mesh_assembly", nodes=self.n_nodes):
-            return self._conductance_matrix()
+        return self.laplacian().matrix()
 
-    def _conductance_matrix(self) -> sp.csr_matrix:
+
+@dataclass(frozen=True, eq=False)
+class LayeredLaplacian:
+    """Separable description of a layered box-integration mesh Laplacian.
+
+    The mesh's conductances depend only on the box spacings ``dx`` (nx),
+    ``dy`` (ny), the layer thicknesses ``dz`` (nz, top layer first) and the
+    per-layer conductivity ``sigma`` (nz): the operator is a Kronecker sum of
+    three 1-D path Laplacians.  Node ``(ix, iy, iz)`` has index
+    ``(iz * ny + iy) * nx + ix``, so the surface cells are nodes
+    ``0 .. nx*ny - 1``.  :func:`~repro.substrate.reduction.kron_reduce`
+    reduces this description in contact space when the lateral spacings are
+    uniform, and assembles :meth:`matrix` only for its mesh-solve fallback.
+    """
+
+    dx: np.ndarray
+    dy: np.ndarray
+    dz: np.ndarray
+    sigma: np.ndarray
+
+    @property
+    def nx(self) -> int:
+        return len(self.dx)
+
+    @property
+    def ny(self) -> int:
+        return len(self.dy)
+
+    @property
+    def nz(self) -> int:
+        return len(self.dz)
+
+    @property
+    def n_nodes(self) -> int:
+        return self.nx * self.ny * self.nz
+
+    @property
+    def laterally_uniform(self) -> bool:
+        """Whether the x and y spacings are uniform (``linspace`` edges)."""
+        return all(np.ptp(d) <= 1e-9 * d.mean() for d in (self.dx, self.dy))
+
+    def matrix(self) -> sp.csr_matrix:
+        """Assemble the (n_nodes x n_nodes) conductance Laplacian."""
+        with trace_span("extract.mesh_assembly", nodes=self.n_nodes):
+            return self._matrix()
+
+    def _matrix(self) -> sp.csr_matrix:
         nx, ny, nz = self.nx, self.ny, self.nz
-        dx = np.diff(self.x_edges)
-        dy = np.diff(self.y_edges)
-        dz = np.diff(self.z_edges)
-        z_centers = self.cell_centers_z()
-        sigma = np.array([self.conductivity_at_depth(z) for z in z_centers])
+        dx, dy, dz, sigma = self.dx, self.dy, self.dz, self.sigma
 
         # All neighbour couplings are assembled as whole index planes: the
         # node grid is reshaped to (nz, ny, nx) and each direction contributes
