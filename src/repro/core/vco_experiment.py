@@ -301,12 +301,12 @@ class VcoImpactAnalysis:
         carrier_amplitude = vco.amplitude(vtune)
         noise_amplitude = self._noise.amplitude
 
-        results = []
-        for frequency in noise_frequencies:
-            entries = entries_at_frequency(catalog, transfer, float(frequency))
-            results.append(compute_spurs(entries, carrier_frequency,
-                                         carrier_amplitude, noise_amplitude,
-                                         float(frequency)))
+        per_frequency = entries_at_frequency(catalog, transfer,
+                                             noise_frequencies)
+        results = [compute_spurs(entries, carrier_frequency, carrier_amplitude,
+                                 noise_amplitude, frequency)
+                   for entries, frequency in zip(per_frequency,
+                                                 noise_frequencies.tolist())]
         return results, vco, catalog, transfer
 
     # -- Figure 8 -------------------------------------------------------------------------

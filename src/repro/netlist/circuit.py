@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-import networkx as nx
+import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from ..devices.mosfet import MosfetGeometry, MosfetModel
 from ..devices.varactor import AccumulationModeVaractor
@@ -158,17 +160,23 @@ class Circuit:
     def elements_at_node(self, node: str) -> list[Element]:
         return [e for e in self.elements.values() if node in e.nodes()]
 
-    def connectivity_graph(self) -> "nx.Graph":
-        """Undirected graph of nodes connected by elements (for sanity checks)."""
-        graph = nx.Graph()
-        graph.add_node(GROUND)
+    def connectivity_graph(self) -> dict[str, set[str]]:
+        """Adjacency of nodes connected by elements (for sanity checks).
+
+        Maps every node, ground included, to the set of its neighbours.
+        """
+        graph: dict[str, set[str]] = {GROUND: set()}
         for element in self.elements.values():
             nodes = element.nodes()
-            graph.add_nodes_from(nodes)
-            for a, b in zip(nodes, nodes[1:]):
-                graph.add_edge(a, b, element=element.name)
+            for node in nodes:
+                graph.setdefault(node, set())
+            pairs = list(zip(nodes, nodes[1:]))
             if len(nodes) >= 2:
-                graph.add_edge(nodes[0], nodes[-1], element=element.name)
+                pairs.append((nodes[0], nodes[-1]))
+            for a, b in pairs:
+                if a != b:
+                    graph[a].add(b)
+                    graph[b].add(a)
         return graph
 
     def floating_nodes(self) -> list[str]:
@@ -177,19 +185,23 @@ class Circuit:
         These nodes make the DC operating point singular; the impact-flow
         assembly adds large bleed resistors for them and reports their names.
         """
-        graph = nx.Graph()
-        graph.add_node(GROUND)
+        nodes = self.nodes()
+        index = {GROUND: 0, **{node: i + 1 for i, node in enumerate(nodes)}}
+        edges: list[tuple[int, int]] = []
         for element in self.elements.values():
-            nodes = [n for n in element.nodes()]
-            graph.add_nodes_from(nodes)
             if isinstance(element, (Resistor, Inductor, VoltageSource)):
-                graph.add_edge(element.node_p, element.node_n)
-            elif element.is_nonlinear and len(nodes) >= 3:
+                edges.append((index[element.node_p], index[element.node_n]))
+            elif element.is_nonlinear and len(element.nodes()) >= 3:
                 # A MOSFET provides a DC path among its channel terminals.
-                for node in nodes:
-                    graph.add_edge(nodes[0], node)
-        reachable = nx.node_connected_component(graph, GROUND)
-        return [n for n in self.nodes() if n not in reachable]
+                terminals = [index[node] for node in element.nodes()]
+                edges.extend((terminals[0], t) for t in terminals[1:])
+        pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        adjacency = sp.coo_matrix(
+            (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+            shape=(len(index), len(index)))
+        _, labels = connected_components(adjacency, directed=False)
+        return [node for node in nodes
+                if labels[index[node]] != labels[0]]
 
     def validate(self) -> None:
         """Raise :class:`NetlistError` for empty circuits or missing ground."""

@@ -2,13 +2,9 @@
 
 One process pool (:mod:`~repro.parallel.pool`), one task vocabulary
 (:mod:`~repro.parallel.plan`), one dependency/priority-aware scheduler
-(:mod:`~repro.parallel.scheduler`), one zero-copy data plane
-(:mod:`~repro.parallel.shm`), and the process-level frequency fan-out built
-on all four (:mod:`~repro.parallel.freq`).  The studies layer's
-``ProcessPoolBackend`` is a thin adapter over :class:`WorkScheduler`, and
-``ac_mode = "process"`` routes AC/transfer sweeps through
-:func:`run_frequency_blocks` — three formerly mutually-blind schedulers now
-share these workers.
+(:mod:`~repro.parallel.scheduler`) and one zero-copy data plane
+(:mod:`~repro.parallel.shm`).  The studies layer's ``ProcessPoolBackend`` is
+a thin adapter over :class:`WorkScheduler`.
 """
 
 from .plan import (
@@ -24,7 +20,6 @@ from .pool import (
     MAX_WORKERS_ENV,
     SharedProcessPool,
     default_max_workers,
-    in_worker_process,
     shared_pool,
 )
 from .scheduler import WorkScheduler
@@ -54,7 +49,6 @@ __all__ = [
     "WorkScheduler",
     "attach_arena",
     "default_max_workers",
-    "in_worker_process",
     "load_object",
     "shared_pool",
     "ship_object",

@@ -1,11 +1,10 @@
 """Work items, failure policies and retry bookkeeping of the scheduler.
 
-A campaign flattens into a DAG of :class:`WorkItem`\\ s — extraction tasks,
-per-corner simulation tasks, and (inside a corner or an analysis) per-
-frequency solve shards.  The vocabulary here used to live in
-:mod:`repro.studies.backends`; it moved down so the scheduler, the backends
-and the frequency fan-out share *one* definition of what a retry, a failure
-policy and an exhausted task mean.  :mod:`repro.studies.backends` re-exports
+A campaign flattens into a DAG of :class:`WorkItem`\\ s — extraction tasks
+and per-corner simulation tasks.  The vocabulary here used to live in
+:mod:`repro.studies.backends`; it moved down so the scheduler and the
+backends share *one* definition of what a retry, a failure policy and an
+exhausted task mean.  :mod:`repro.studies.backends` re-exports
 every public name, so existing imports keep working.
 """
 

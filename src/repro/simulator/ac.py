@@ -21,7 +21,11 @@ from ..netlist.elements import CurrentSource, VoltageSource
 from .dc import DcOptions, DcSolution, dc_operating_point
 from .linalg import LinearSolver, SolverOptions, resolve_solver
 from .mna import MnaStructure, SolutionView, stamp_linear_elements
-from .solver import SharedPatternPair, add_gmin_diagonal
+from .solver import SharedPatternPair, add_gmin_diagonal, is_dense
+
+
+#: Largest ``(F, n, n)`` complex stack one dense sweep batch may allocate.
+DENSE_STACK_BYTES = 16 << 20
 
 
 @dataclass
@@ -59,8 +63,12 @@ class AcSolution:
 
 def _small_signal_matrices(circuit: Circuit, structure: MnaStructure,
                            operating_point: DcSolution | None):
-    """Build (G, C) with all nonlinear elements replaced by their linearisation."""
-    stamper = stamp_linear_elements(circuit, structure)
+    """Build (G, C) with all nonlinear elements replaced by their linearisation.
+
+    Dense arrays for circuits on the dense path, sparse matrices otherwise.
+    """
+    stamper = stamp_linear_elements(circuit, structure,
+                                    dense=is_dense(structure.size))
     nonlinear = circuit.nonlinear_elements()
     if nonlinear:
         if operating_point is None:
@@ -89,62 +97,39 @@ def _ac_rhs(circuit: Circuit, structure: MnaStructure) -> np.ndarray:
     return rhs
 
 
-def run_frequency_points(pattern: SharedPatternPair, frequencies: np.ndarray,
-                         solver: LinearSolver, per_point, *,
-                         rhs: np.ndarray | None = None,
-                         out: np.ndarray | None = None,
-                         multi_rhs: bool = False) -> None:
-    """Evaluate ``per_point(solver_like, matrix, index)`` at every frequency.
+def solve_frequency_sweep(g_matrix, c_matrix, frequencies: np.ndarray,
+                          rhs: np.ndarray, solver: LinearSolver,
+                          structure: MnaStructure, gmin: float) -> np.ndarray:
+    """Solve ``(G + gmin + j*2*pi*f*C) x = rhs`` at every frequency.
 
-    With ``solver.options.ac_workers > 1`` the frequency points are sharded
-    across that many workers: each worker gets a private assembly buffer
-    (:meth:`SharedPatternPair.with_private_buffer`) and a
-    :meth:`~repro.simulator.linalg.LinearSolver.spawn`-ed solver clone whose
-    stats are merged back afterwards, so results and counters are identical
-    to the serial sweep whichever width runs it.  ``per_point`` writes its
-    result into caller-owned storage indexed by ``index``; the points are
-    independent, so write order does not matter.
-
-    ``rhs``/``out``/``multi_rhs`` describe the sweep declaratively for the
-    process-level fan-out (``solver.options.ac_mode == "process"``): closures
-    cannot cross a process boundary, so when the caller supplies the
-    right-hand side and the output block directly, the frequency blocks are
-    shipped to the shared worker pool through shared memory
-    (:func:`repro.parallel.freq.run_frequency_blocks`) instead of threads.
-    Inside a pool worker — or when the sweep shape was not declared — the
-    thread path runs as the fallback, so nesting never happens and results
-    are bit-identical either way.
+    ``gmin`` is added from every node to ground (it keeps otherwise-floating
+    nodes solvable).  ``rhs`` is a vector or an ``(n, k)`` block; the result
+    stacks one solution per frequency, shape ``(F,) + rhs.shape``.  Systems
+    with at most :data:`~repro.simulator.solver.DENSE_MAX_UNKNOWNS` unknowns
+    (``G`` and ``C`` dense arrays, see :func:`_small_signal_matrices`) are
+    solved as one ``(F, n, n)`` LAPACK batch built in place in a single
+    complex buffer (split into several batches only when it would exceed
+    :data:`DENSE_STACK_BYTES`); larger ones are assembled per point on a
+    :class:`SharedPatternPair`, factorized through the ``solver`` backend
+    and solved for the whole ``rhs`` block.  Either way each frequency
+    counts one factorization and one solve.
     """
-    n_workers = min(solver.options.ac_workers, len(frequencies))
-    if (n_workers > 1 and solver.options.ac_mode == "process"
-            and rhs is not None and out is not None):
-        from ..parallel.freq import run_frequency_blocks
-        from ..parallel.pool import in_worker_process
-
-        if not in_worker_process():
-            run_frequency_blocks(pattern, frequencies, solver,
-                                 rhs=rhs, out=out, multi_rhs=multi_rhs)
-            return
-    if n_workers <= 1:
-        for index, frequency in enumerate(frequencies):
-            per_point(solver, pattern.assemble(2j * np.pi * frequency), index)
-        return
-
-    from concurrent.futures import ThreadPoolExecutor
-
-    chunks = np.array_split(np.arange(len(frequencies)), n_workers)
-
-    def run_chunk(indices: np.ndarray) -> LinearSolver:
-        worker = solver.spawn()
-        private = pattern.with_private_buffer()
-        for index in indices:
-            matrix = private.assemble(2j * np.pi * frequencies[index])
-            per_point(worker, matrix, int(index))
-        return worker
-
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        for worker in pool.map(run_chunk, chunks):
-            solver.absorb(worker)
+    g_matrix = add_gmin_diagonal(g_matrix, structure.n_nodes, gmin)
+    if is_dense(structure.size):
+        s_points = 2j * np.pi * frequencies
+        step = max(1, DENSE_STACK_BYTES // (16 * max(structure.size, 1) ** 2))
+        batches = []
+        for start in range(0, frequencies.size, step):
+            stack = np.multiply.outer(s_points[start:start + step], c_matrix)
+            stack += g_matrix
+            batches.append(solver.solve_dense(stack, rhs, structure=structure))
+        return batches[0] if len(batches) == 1 else np.concatenate(batches)
+    pattern = SharedPatternPair(g_matrix, c_matrix)
+    out = np.zeros((frequencies.size,) + rhs.shape, dtype=complex)
+    for index, frequency in enumerate(frequencies):
+        matrix = pattern.assemble(2j * np.pi * frequency)
+        out[index] = solver.factorize(matrix, structure=structure).solve(rhs)
+    return out
 
 
 def ac_analysis(circuit: Circuit, frequencies: np.ndarray | list[float],
@@ -157,9 +142,8 @@ def ac_analysis(circuit: Circuit, frequencies: np.ndarray | list[float],
 
     If the circuit contains nonlinear devices and no ``operating_point`` is
     supplied, a DC operating point is solved first.  ``solver`` selects the
-    linear-solver backend; ``solver.options.ac_workers`` shards the frequency
-    points of this one sweep across worker threads (results are identical to
-    the serial sweep).
+    linear-solver backend for circuits too large for the dense batch (see
+    :func:`solve_frequency_sweep`).
     """
     circuit.validate()
     solver = resolve_solver(solver)
@@ -175,20 +159,9 @@ def ac_analysis(circuit: Circuit, frequencies: np.ndarray | list[float],
                                              solver=solver)
 
     g_matrix, c_matrix = _small_signal_matrices(circuit, structure, operating_point)
-    # gmin to ground on every node row keeps otherwise-floating nodes solvable.
-    g_matrix = add_gmin_diagonal(g_matrix, structure.n_nodes,
-                                 solver.options.effective_gmin(gmin))
-
-    # G and C share one CSC sparsity pattern; each frequency point only
-    # rewrites the .data array of the preallocated (G + j*omega*C) matrix.
-    pattern = SharedPatternPair(g_matrix, c_matrix)
-    rhs = _ac_rhs(circuit, structure)
-    vectors = np.zeros((frequencies.size, structure.size), dtype=complex)
-
-    def per_point(point_solver: LinearSolver, matrix, index: int) -> None:
-        vectors[index] = point_solver.solve(matrix, rhs, structure=structure)
-
-    run_frequency_points(pattern, frequencies, solver, per_point,
-                         rhs=rhs, out=vectors)
+    vectors = solve_frequency_sweep(g_matrix, c_matrix, frequencies,
+                                    _ac_rhs(circuit, structure), solver,
+                                    structure,
+                                    solver.options.effective_gmin(gmin))
     return AcSolution(circuit=circuit, structure=structure,
                       frequencies=frequencies, vectors=vectors)

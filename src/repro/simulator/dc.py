@@ -37,7 +37,7 @@ from ..netlist.devices import NonlinearElement
 from ..netlist.elements import CurrentSource, VoltageSource
 from .linalg import LinearSolver, SolverOptions, resolve_solver
 from .mna import MatrixStamper, MnaStructure, SolutionView, stamp_linear_elements
-from .solver import gmin_diagonal
+from .solver import add_gmin_diagonal, gmin_diagonal, is_dense
 
 
 @dataclass
@@ -105,27 +105,43 @@ def _fill_source_rhs(stamper: MatrixStamper, circuit: Circuit,
 def _newton_solve(circuit: Circuit, structure: MnaStructure,
                   linear: MatrixStamper, options: DcOptions,
                   initial: np.ndarray, source_scale: float,
-                  solver: LinearSolver,
-                  gmin_diag) -> tuple[np.ndarray, int]:
-    """Newton iteration at a fixed source scaling; returns (solution, iterations)."""
+                  solver: LinearSolver, gmin: float,
+                  linear_dense: np.ndarray | None) -> tuple[np.ndarray, int]:
+    """Newton iteration at a fixed source scaling; returns (solution, iterations).
+
+    With ``linear_dense`` (the linear elements' ``G`` as a dense array, for
+    circuits of at most :data:`~repro.simulator.solver.DENSE_MAX_UNKNOWNS`
+    unknowns) each iteration stamps its Jacobian straight into a copy of it
+    and solves with LAPACK; otherwise the sparse Jacobian goes through the
+    ``solver`` backend.
+    """
     x = initial.copy()
     nonlinear = circuit.nonlinear_elements()
     n_nodes = structure.n_nodes
+    # gmin from every node to ground keeps floating nodes solvable; the
+    # sparse diagonal is built once per solve, so every iteration pays one
+    # CSR addition instead of a format conversion.
+    gmin_diag = (gmin_diagonal(structure.size, n_nodes, gmin)
+                 if linear_dense is None else None)
 
     for iteration in range(1, options.max_iterations + 1):
-        stamper = linear.copy()
+        stamper = (linear.copy() if linear_dense is None else
+                   MatrixStamper(structure, conductance=linear_dense.copy()))
         _fill_source_rhs(stamper, circuit, scale=source_scale)
         voltages = {name: float(x[row])
                     for name, row in structure.node_index.items()}
         for element in nonlinear:
             element.stamp_companion(stamper, voltages)
-        # gmin from every node to ground keeps floating nodes solvable; the
-        # diagonal is built once per analysis, so every iteration pays one
-        # CSR addition instead of a format conversion.
         matrix = stamper.conductance_matrix()
-        if gmin_diag is not None:
-            matrix = matrix + gmin_diag
-        x_new = solver.solve(matrix, stamper.rhs, structure=structure)
+        if linear_dense is not None:
+            add_gmin_diagonal(matrix, n_nodes, gmin)
+            x_new = solver.solve_dense(matrix, stamper.rhs,
+                                       structure=structure,
+                                       factorizations=False)
+        else:
+            if gmin_diag is not None:
+                matrix = matrix + gmin_diag
+            x_new = solver.solve(matrix, stamper.rhs, structure=structure)
         delta = x_new - x
         x = x + options.damping * delta
         max_delta = float(np.max(np.abs(delta[:n_nodes]))) if n_nodes else 0.0
@@ -166,26 +182,29 @@ def dc_operating_point(circuit: Circuit, options: DcOptions | None = None,
     (``options.source_steps`` ramp steps).  The winning strategy is recorded
     on the returned :class:`DcSolution` and the ladder rungs are counted
     into the solver's :class:`~repro.simulator.solver.SolverStats`.
+    Circuits of at most :data:`~repro.simulator.solver.DENSE_MAX_UNKNOWNS`
+    unknowns stamp a dense Jacobian and solve it with LAPACK; above that,
     ``solver`` selects the linear-solver backend (options or a shared
-    instance); the reuse-pattern backend refactorizes values only across the
-    Newton iterations, which all share one sparsity pattern.
+    instance) — the reuse-pattern backend then refactorizes values only
+    across the Newton iterations, which all share one sparsity pattern.
     """
     options = options or DcOptions()
     solver = resolve_solver(solver)
     circuit.validate()
     structure = MnaStructure.from_circuit(circuit)
-    linear = stamp_linear_elements(circuit, structure)
+    dense = is_dense(structure.size)
+    linear = stamp_linear_elements(circuit, structure, dense=dense)
     initial = np.zeros(structure.size)
     target_gmin = solver.options.effective_gmin(options.gmin)
-    gmin_diag = gmin_diagonal(structure.size, structure.n_nodes, target_gmin)
+    linear_dense = linear.conductance_matrix() if dense else None
 
-    def newton(guess, scale, diag):
+    def newton(guess, scale, gmin):
         return _newton_solve(circuit, structure, linear, options, guess,
-                             source_scale=scale, solver=solver,
-                             gmin_diag=diag)
+                             source_scale=scale, solver=solver, gmin=gmin,
+                             linear_dense=linear_dense)
 
     try:
-        vector, iterations = newton(initial, 1.0, gmin_diag)
+        vector, iterations = newton(initial, 1.0, target_gmin)
         return DcSolution(circuit=circuit, structure=structure,
                           vector=vector, iterations=iterations,
                           strategy="newton")
@@ -203,12 +222,10 @@ def dc_operating_point(circuit: Circuit, options: DcOptions | None = None,
             vector = initial
             total_iterations = 0
             for rung_gmin in ladder:
-                rung_diag = gmin_diagonal(structure.size, structure.n_nodes,
-                                          rung_gmin)
-                vector, iterations = newton(vector, 1.0, rung_diag)
+                vector, iterations = newton(vector, 1.0, rung_gmin)
                 total_iterations += iterations
                 solver._bump("dc_gmin_steps")
-            vector, iterations = newton(vector, 1.0, gmin_diag)
+            vector, iterations = newton(vector, 1.0, target_gmin)
             total_iterations += iterations
             return DcSolution(circuit=circuit, structure=structure,
                               vector=vector, iterations=total_iterations,
@@ -223,7 +240,7 @@ def dc_operating_point(circuit: Circuit, options: DcOptions | None = None,
         total_iterations = 0
         for step in range(1, options.source_steps + 1):
             scale = step / options.source_steps
-            vector, iterations = newton(vector, scale, gmin_diag)
+            vector, iterations = newton(vector, scale, target_gmin)
             total_iterations += iterations
             solver._bump("dc_source_steps")
         return DcSolution(circuit=circuit, structure=structure,

@@ -30,7 +30,6 @@ from .backends import (
 # before any submodule import, which guarantees registration.
 from .multigrid import GridGeometry, MultigridSolver
 from .options import (
-    AC_MODES,
     BACKEND_DIRECT,
     BACKEND_ITERATIVE,
     BACKEND_MULTIGRID,
@@ -44,7 +43,6 @@ from .options import (
 )
 
 __all__ = [
-    "AC_MODES",
     "BACKENDS",
     "BACKEND_DIRECT",
     "BACKEND_ITERATIVE",

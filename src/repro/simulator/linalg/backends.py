@@ -10,10 +10,10 @@ needed —
   blocks,
 * :meth:`LinearSolver.solve` — a one-shot solve,
 
-— plus per-instance :class:`~repro.simulator.solver.SolverStats` so parallel
-workers (the per-frequency AC fan-out, process-pool campaigns) count into
-their own instance and are aggregated afterwards with :meth:`LinearSolver.absorb`
-instead of racing on the module-level global.
+— plus per-instance :class:`~repro.simulator.solver.SolverStats`, mirrored
+into the module-level global.  Circuits small enough for the dense LAPACK
+path (:data:`~repro.simulator.solver.DENSE_MAX_UNKNOWNS`) bypass the
+backends and only count through :meth:`LinearSolver.solve_dense`.
 
 Three implementations ship behind the seam:
 
@@ -57,6 +57,7 @@ from ..solver import (
     SolverStats,
     _check_finite,
     _singular_hint,
+    dense_solve,
     solve_sparse,
     stats as global_stats,
 )
@@ -77,8 +78,8 @@ class LinearSolver:
     factorize-then-solve.  ``stats`` is per-instance; single-threaded solvers
     additionally mirror their counts into the module-level
     :data:`repro.simulator.solver.stats` so existing counter-based tests and
-    benchmarks keep working, while :meth:`spawn`/:meth:`absorb` give fan-out
-    workers isolated counters that are merged exactly once at the end.
+    benchmarks keep working (``mirror_global=False`` opts out, for the
+    inner solvers of a degradation ladder).
     """
 
     name = "?"
@@ -118,27 +119,17 @@ class LinearSolver:
         """One-shot solve of ``matrix @ x = rhs``."""
         return self.factorize(matrix, structure=structure, grid=grid).solve(rhs)
 
-    # -- fan-out -------------------------------------------------------------
+    def solve_dense(self, matrices: np.ndarray, rhs: np.ndarray,
+                    structure=None, factorizations: bool = True) -> np.ndarray:
+        """LAPACK solve of a small dense system or ``(F, n, n)`` stack.
 
-    def spawn(self) -> "LinearSolver":
-        """A worker clone: same options, isolated stats, no global mirror."""
-        return type(self)(self.options, mirror_global=False)
-
-    def absorb(self, worker: "LinearSolver") -> None:
-        """Fold a :meth:`spawn`-ed worker's counters back into this solver."""
-        self.absorb_stats(worker.stats)
-
-    def absorb_stats(self, stats: SolverStats) -> None:
-        """Fold a bare :class:`SolverStats` into this solver's counters.
-
-        The process-level frequency fan-out sends counters home *by value*
-        (a worker process's solver instance cannot travel back), so the
-        absorption seam accepts the stats object itself; :meth:`absorb`
-        is the thread-path convenience over it.
+        Circuits at or below
+        :data:`~repro.simulator.solver.DENSE_MAX_UNKNOWNS` unknowns bypass
+        the sparse backends; this only routes the counts into this solver's
+        stats (see :func:`~repro.simulator.solver.dense_solve`).
         """
-        self.stats.merge(stats)
-        if self._mirror_global:
-            global_stats.merge(stats)
+        return dense_solve(matrices, rhs, structure=structure,
+                           sinks=self._sinks, factorizations=factorizations)
 
 
 class DirectLUSolver(LinearSolver):
@@ -560,17 +551,10 @@ def register_backend(name: str, cls: type[LinearSolver]) -> None:
     _BACKEND_CLASSES[name] = cls
 
 
-def make_solver(options: SolverOptions | None = None, *,
-                mirror_global: bool = True) -> LinearSolver:
-    """Instantiate the backend selected by ``options.backend``.
-
-    ``mirror_global=False`` builds the worker flavour — per-instance stats
-    only, exactly what :meth:`LinearSolver.spawn` produces — used by worker
-    *processes* that reconstruct their solver from pickled options.
-    """
+def make_solver(options: SolverOptions | None = None) -> LinearSolver:
+    """Instantiate the backend selected by ``options.backend``."""
     options = options or SolverOptions()
-    return _BACKEND_CLASSES[options.backend](options,
-                                             mirror_global=mirror_global)
+    return _BACKEND_CLASSES[options.backend](options)
 
 
 def resolve_solver(solver: "SolverOptions | LinearSolver | None"

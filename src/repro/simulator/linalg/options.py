@@ -2,10 +2,13 @@
 
 :class:`SolverOptions` is the one object that travels from campaign configs
 (the ``[solver]`` TOML table) down through :class:`~repro.core.flow.FlowOptions`
-into every analysis: it picks the backend, carries the iterative tolerances
-and the per-frequency AC fan-out width, and — because it is a plain frozen
-dataclass of primitives — participates in the studies extraction-cache key
-and the persisted result sidecars without any extra plumbing.
+into every analysis: it picks the backend and carries the iterative and
+multigrid tolerances, and — because it is a plain frozen dataclass of
+primitives — participates in the studies extraction-cache key and the
+persisted result sidecars without any extra plumbing.  Circuits small enough
+for the dense LAPACK path
+(:data:`~repro.simulator.solver.DENSE_MAX_UNKNOWNS`) do not consult the
+backend at all.
 """
 
 from __future__ import annotations
@@ -49,32 +52,21 @@ MG_CYCLES = ("v", "w")
 #: single vectors.
 MG_MODES = ("auto", "standalone", "pcg")
 
-#: How ``ac_workers`` shards the frequency points of one AC sweep:
-#: "thread" fans out over worker threads inside the calling process (the
-#: historical behaviour, zero setup cost), "process" ships frequency blocks
-#: to the shared worker-process pool through shared memory (sidesteps the
-#: GIL on the pure-python assembly; falls back to threads inside a pool
-#: worker, where nesting executors is forbidden).
-AC_MODES = ("thread", "process")
-
-
 @dataclass(frozen=True)
 class SolverOptions:
     """Backend choice and tuning knobs of the linear-solver layer.
 
     The defaults reproduce the historical behaviour exactly: direct LU
-    everywhere, serial AC sweeps, analysis-supplied gmin.
+    everywhere, analysis-supplied gmin.
 
-    ``ac_workers``, ``ac_mode`` and ``max_cached_patterns`` are pure
-    parallelism / memory knobs with no influence on results — the process
-    fan-out is bit-identical to the serial sweep by construction — so they
-    are excluded from content fingerprints (extraction-cache keys, campaign
-    resume identity) via ``__fingerprint_exclude__``.  Every future
-    scheduler knob must join this tuple: parallelism must never invalidate
-    the extraction cache.
+    ``max_cached_patterns`` is a pure memory knob with no influence on
+    results, so it is excluded from content fingerprints (extraction-cache
+    keys, campaign resume identity) via ``__fingerprint_exclude__``.  Every
+    future scheduler or memory knob must join this tuple: such knobs must
+    never invalidate the extraction cache.
     """
 
-    __fingerprint_exclude__ = ("ac_workers", "ac_mode", "max_cached_patterns")
+    __fingerprint_exclude__ = ("max_cached_patterns",)
 
     #: one of :data:`BACKENDS`
     backend: str = BACKEND_DIRECT
@@ -97,10 +89,6 @@ class SolverOptions:
     iterative_fallback: bool = True
     #: symbolic analyses the reuse-lu backend keeps cached (LRU)
     max_cached_patterns: int = 8
-    #: workers sharding the frequency points of one AC sweep
-    ac_workers: int = 1
-    #: executor of the AC fan-out, one of :data:`AC_MODES`
-    ac_mode: str = "thread"
     #: multigrid cycle shape, one of :data:`MG_CYCLES`
     mg_cycle: str = "v"
     #: multigrid smoother, one of :data:`MG_SMOOTHERS`
@@ -139,12 +127,6 @@ class SolverOptions:
             raise SimulationError("ilu_fill_factor must be >= 1")
         if self.max_cached_patterns < 1:
             raise SimulationError("max_cached_patterns must be >= 1")
-        if self.ac_workers < 1:
-            raise SimulationError("ac_workers must be >= 1")
-        if self.ac_mode not in AC_MODES:
-            raise SimulationError(
-                f"unknown ac_mode {self.ac_mode!r}; "
-                f"choose one of {', '.join(AC_MODES)}")
         if self.mg_cycle not in MG_CYCLES:
             raise SimulationError(
                 f"unknown mg_cycle {self.mg_cycle!r}; "

@@ -99,7 +99,7 @@ class TripletAccumulator:
         self.cols.append(col)
         self.vals.append(value)
 
-    def tocsr(self) -> sp.csr_matrix:
+    def matrix(self) -> sp.csr_matrix:
         if not self.vals:
             return sp.csr_matrix(self.shape, dtype=float)
         matrix = sp.coo_matrix((self.vals, (self.rows, self.cols)),
@@ -114,24 +114,49 @@ class TripletAccumulator:
         return clone
 
 
+class DenseAccumulator:
+    """Stamps added straight into a dense array (small systems only)."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+    def add(self, row: int, col: int, value: float) -> None:
+        self.array[row, col] += value
+
+    def matrix(self) -> np.ndarray:
+        return self.array
+
+
 class MatrixStamper(Stamper):
     """Accumulates element stamps into COO triplets for ``G``, ``C`` and a
-    dense ``b``; the sparse matrices are assembled on demand."""
+    dense ``b``; the sparse matrices are assembled on demand.
 
-    def __init__(self, structure: MnaStructure):
+    Given a dense ``conductance`` (``capacitance``) array, ``G`` (``C``)
+    stamps are instead added straight into it, in place, and the matrix
+    accessor returns that array — small circuits stamp this way (see
+    :data:`~repro.simulator.solver.DENSE_MAX_UNKNOWNS`).
+    """
+
+    def __init__(self, structure: MnaStructure,
+                 conductance: np.ndarray | None = None,
+                 capacitance: np.ndarray | None = None):
         self.structure = structure
         size = structure.size
-        self._g = TripletAccumulator(size)
-        self._c = TripletAccumulator(size)
+        self._g = (TripletAccumulator(size) if conductance is None
+                   else DenseAccumulator(conductance))
+        self._c = (TripletAccumulator(size) if capacitance is None
+                   else DenseAccumulator(capacitance))
         self.rhs = np.zeros(size, dtype=float)
 
     # -- matrix access ---------------------------------------------------------
 
-    def conductance_matrix(self) -> sp.csr_matrix:
-        return self._g.tocsr()
+    def conductance_matrix(self) -> sp.csr_matrix | np.ndarray:
+        return self._g.matrix()
 
-    def capacitance_matrix(self) -> sp.csr_matrix:
-        return self._c.tocsr()
+    def capacitance_matrix(self) -> sp.csr_matrix | np.ndarray:
+        return self._c.matrix()
 
     def copy(self) -> "MatrixStamper":
         """Deep copy of the accumulated stamps (used by Newton iterations)."""
@@ -143,14 +168,14 @@ class MatrixStamper(Stamper):
 
     # -- low-level helpers -------------------------------------------------------
 
-    def _add(self, matrix: TripletAccumulator, row: int | None, col: int | None,
-             value: float) -> None:
+    def _add(self, matrix: TripletAccumulator | DenseAccumulator,
+             row: int | None, col: int | None, value: float) -> None:
         if row is None or col is None:
             return
         matrix.add(row, col, value)
 
-    def _stamp_two_node(self, matrix: TripletAccumulator, node_a: str, node_b: str,
-                        value: float) -> None:
+    def _stamp_two_node(self, matrix: TripletAccumulator | DenseAccumulator,
+                        node_a: str, node_b: str, value: float) -> None:
         a = self.structure.node_row(node_a)
         b = self.structure.node_row(node_b)
         self._add(matrix, a, a, value)
@@ -224,10 +249,14 @@ class MatrixStamper(Stamper):
 
 
 def stamp_linear_elements(circuit: Circuit,
-                          structure: MnaStructure | None = None) -> MatrixStamper:
-    """Stamp all linear elements of ``circuit`` into a fresh stamper."""
+                          structure: MnaStructure | None = None,
+                          dense: bool = False) -> MatrixStamper:
+    """Stamp all linear elements of ``circuit`` into a fresh stamper
+    (into dense ``G`` and ``C`` arrays when ``dense``)."""
     structure = structure or MnaStructure.from_circuit(circuit)
-    stamper = MatrixStamper(structure)
+    shape = (structure.size, structure.size)
+    stamper = (MatrixStamper(structure, np.zeros(shape), np.zeros(shape))
+               if dense else MatrixStamper(structure))
     for element in circuit.linear_elements():
         element.stamp(stamper)
     return stamper

@@ -1,23 +1,27 @@
-"""Sparse linear-solver core: cached factorizations and shared patterns.
+"""Linear-solver core: cached factorizations, dense batches, shared patterns.
 
 The solver layer owns everything between "here is an assembled MNA system"
 and "here is the solution vector":
 
+* :func:`dense_solve` — LAPACK solves of small systems, one matrix or an
+  ``(F, n, n)`` stack of them in a single call.  Circuits with at most
+  :data:`DENSE_MAX_UNKNOWNS` unknowns (the paper's impact netlists) take
+  this path for DC Newton steps and whole AC / transfer sweeps; sparse LU
+  only pays off above it.
 * :class:`Factorization` — one LU factorization of a sparse matrix, reusable
   for any number of right-hand sides (single vectors or multi-RHS blocks).
   Linear transient analysis has a constant left-hand side and factorizes
   exactly once for the whole time grid; the substrate Kron reduction solves
   its internal block against all port columns in a single call.
 * :class:`SharedPatternPair` — ``G`` and ``C`` expanded onto one shared CSC
-  sparsity pattern so an AC sweep can assemble ``G + s*C`` per frequency by
-  combining ``.data`` arrays in place, never reallocating matrix structure.
+  sparsity pattern so a sparse AC sweep can assemble ``G + s*C`` per
+  frequency by combining ``.data`` arrays in place, never reallocating
+  matrix structure.
 * :func:`solve_sparse` — one-shot solve with proper singular-matrix
   diagnostics: an exactly singular factorization becomes a
   :class:`~repro.errors.SimulationError` (naming the offending node when the
   MNA structure is available) and a finite-check backstop catches anything
-  that slips through.  No warnings-filter mutation anywhere in the layer —
-  the interpreter-global filter list is not thread-safe, and the AC
-  per-frequency fan-out solves from worker threads.
+  that slips through.
 * :func:`add_gmin_diagonal` — the vectorized "gmin from every node to
   ground" regularisation shared by the DC, AC and transient analyses.
 
@@ -43,9 +47,8 @@ class SolverStats:
     """Counters of the expensive solver operations (for tests / benchmarks).
 
     Every :class:`~repro.simulator.linalg.LinearSolver` instance owns one of
-    these, so parallel workers (e.g. the per-frequency AC fan-out) each count
-    into their own instance and are aggregated afterwards with :meth:`merge`
-    instead of racing on a shared global.  ``backend`` names the solver
+    these; :meth:`merge` folds one record into another (campaign workers
+    send theirs home by value).  ``backend`` names the solver
     backend that produced the counts; the iterative backend additionally
     records its CG traffic and direct-LU fallbacks.
     """
@@ -93,9 +96,26 @@ class SolverStats:
 
 
 #: Global solver counters; ``stats.reset()`` before a run to measure it.
-#: Solver instances mirror their counts here (single-threaded paths only);
-#: fan-out workers use per-instance stats merged at the end instead.
+#: Solver instances mirror their counts here.
 stats = SolverStats()
+
+#: Largest MNA system solved densely with LAPACK instead of sparse LU.  At
+#: or below it, DC Newton steps and whole AC / transfer sweeps (one
+#: ``(F, n, n)`` stack) go through :func:`dense_solve`; above it the sparse
+#: per-frequency path and the configured backend run.  The value sits at the
+#: measured crossover of a 60-point transfer sweep on resistor-grid circuits
+#: (2-CPU x86-64, OpenBLAS): dense is 2-3x faster up to ~50 unknowns, the
+#: two paths meet between ~60 and ~80, and sparse is 7x faster at 577.
+DENSE_MAX_UNKNOWNS = 64
+
+
+def is_dense(size: int) -> bool:
+    """Whether an MNA system of ``size`` unknowns takes the dense path.
+
+    Reads :data:`DENSE_MAX_UNKNOWNS` at call time, so tests can lower it to
+    push a small circuit through the sparse backends.
+    """
+    return size <= DENSE_MAX_UNKNOWNS
 
 
 def _row_names(rows: np.ndarray, structure) -> list[str]:
@@ -110,10 +130,17 @@ def _row_names(rows: np.ndarray, structure) -> list[str]:
     return [inverse.get(int(row), f"row {int(row)}") for row in rows]
 
 
-def _singular_hint(matrix: sp.spmatrix, structure=None, limit: int = 3) -> str:
-    """Describe structurally empty rows (floating nodes) of a singular matrix."""
-    csr = sp.csr_matrix(matrix)
-    row_abs_sum = np.asarray(abs(csr).sum(axis=1)).ravel()
+def _singular_hint(matrix, structure=None, limit: int = 3) -> str:
+    """Describe structurally empty rows (floating nodes) of a singular matrix.
+
+    ``matrix`` is sparse, a dense array, or a dense ``(F, n, n)`` stack (a row
+    counts as empty when it is empty in any matrix of the stack).
+    """
+    if sp.issparse(matrix):
+        row_abs_sum = np.asarray(abs(sp.csr_matrix(matrix)).sum(axis=1)).ravel()
+    else:
+        row_abs_sum = np.abs(np.asarray(matrix)).sum(axis=-1)
+        row_abs_sum = row_abs_sum.reshape(-1, row_abs_sum.shape[-1]).min(axis=0)
     bad = np.flatnonzero(row_abs_sum == 0.0)
     if bad.size == 0:
         return ""
@@ -122,13 +149,45 @@ def _singular_hint(matrix: sp.spmatrix, structure=None, limit: int = 3) -> str:
     return f" (all-zero matrix row for {names}{suffix} — floating node?)"
 
 
-def _check_finite(solution: np.ndarray, matrix: sp.spmatrix,
+def _check_finite(solution: np.ndarray, matrix,
                   structure=None) -> np.ndarray:
     if not np.all(np.isfinite(solution)):
         raise SimulationError(
             "MNA solution contains non-finite values (singular matrix or "
             "floating node)" + _singular_hint(matrix, structure))
     return solution
+
+
+def dense_solve(matrices: np.ndarray, rhs: np.ndarray, structure=None,
+                sinks: tuple[SolverStats, ...] | None = None,
+                factorizations: bool = True) -> np.ndarray:
+    """Solve ``matrices[k] @ x[k] = rhs`` with LAPACK for every matrix.
+
+    ``matrices`` is one dense ``(n, n)`` system or an ``(F, n, n)`` stack;
+    ``rhs`` is a vector or an ``(n, k)`` block shared by every matrix, so the
+    result has shape ``matrices.shape[:-2] + rhs.shape``.  Each matrix counts
+    one solve — and one factorization unless ``factorizations`` is False,
+    the one-shot :func:`solve_sparse` convention.  An exactly singular
+    matrix becomes a :class:`~repro.errors.SimulationError` naming the
+    floating node when ``structure`` is given; non-finite solutions are
+    rejected as in the sparse path.
+    """
+    count = int(np.prod(matrices.shape[:-2], dtype=np.int64))
+    if matrices.shape[-1] == 0:
+        return np.zeros(matrices.shape[:-2] + rhs.shape,
+                        dtype=np.result_type(matrices, rhs))
+    try:
+        with trace_span("solver.solve"):
+            solution = np.linalg.solve(matrices, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SimulationError(
+            f"dense factorization failed: {exc}"
+            + _singular_hint(matrices, structure)) from exc
+    for sink in (stats,) if sinks is None else sinks:
+        if factorizations:
+            sink.factorizations += count
+        sink.solves += count
+    return _check_finite(solution, matrices, structure)
 
 
 class Factorization:
@@ -152,9 +211,8 @@ class Factorization:
             self._lu = None
         else:
             # splu signals an exactly singular matrix with a RuntimeError
-            # (no warning machinery involved — the solver layer must stay
-            # free of warnings-filter mutation, which is interpreter-global
-            # and not thread-safe under the per-frequency AC fan-out).
+            # (no warning machinery involved — the solver layer stays free
+            # of interpreter-global warnings-filter mutation).
             try:
                 with trace_span("solver.factorize"):
                     self._lu = spla.splu(self._matrix)
@@ -231,14 +289,20 @@ def gmin_diagonal(size: int, n_nodes: int,
     return sp.diags(diagonal, format="csr")
 
 
-def add_gmin_diagonal(matrix: sp.spmatrix, n_nodes: int,
-                      gmin: float) -> sp.csr_matrix:
+def add_gmin_diagonal(matrix: sp.spmatrix | np.ndarray, n_nodes: int,
+                      gmin: float) -> sp.csr_matrix | np.ndarray:
     """Add ``gmin`` from every node to ground in one vectorized operation.
 
     Only the first ``n_nodes`` rows (the node equations) receive the shunt;
-    branch-current rows are left untouched.  Returns CSR; a matrix that is
-    already CSR is not re-canonicalized (the no-op path returns it as-is).
+    branch-current rows are left untouched.  A dense array is updated in
+    place and returned.  Otherwise returns CSR; a matrix that is already CSR
+    is not re-canonicalized (the no-op path returns it as-is).
     """
+    if isinstance(matrix, np.ndarray):
+        if gmin > 0.0:
+            nodes = np.arange(n_nodes)
+            matrix[nodes, nodes] += gmin
+        return matrix
     base = matrix if sp.issparse(matrix) and matrix.format == "csr" \
         else sp.csr_matrix(matrix)
     diagonal = gmin_diagonal(matrix.shape[0], n_nodes, gmin)
@@ -253,7 +317,7 @@ class SharedPatternPair:
     :meth:`assemble` builds ``G + s*C`` for any complex frequency ``s`` by
     writing into the ``.data`` array of a single preallocated matrix — no
     sparse additions, conversions or structure allocations per frequency
-    point, which is what makes dense AC sweeps cheap.
+    point, which is what keeps many-point sparse AC sweeps cheap.
     """
 
     def __init__(self, g_matrix: sp.spmatrix, c_matrix: sp.spmatrix):
@@ -299,61 +363,12 @@ class SharedPatternPair:
         data[np.searchsorted(union_keys, keys)] = matrix.data
         return data
 
-    @classmethod
-    def from_arrays(cls, g_data: np.ndarray, c_data: np.ndarray,
-                    indices: np.ndarray, indptr: np.ndarray,
-                    shape: tuple[int, int]) -> "SharedPatternPair":
-        """Rehydrate a pair from its raw CSC arrays (already canonical).
-
-        This is the zero-copy entry point of the process-level frequency
-        fan-out: a worker attaches the parent's shared-memory views of
-        ``g_data``/``c_data``/``indices``/``indptr`` and rebuilds the pair
-        without re-deriving the union pattern — only the per-worker complex
-        assembly buffer is allocated.  The arrays are used as-is (views are
-        fine); callers must not mutate them afterwards.
-        """
-        pair = object.__new__(cls)
-        pair.g_data = g_data
-        pair.c_data = c_data
-        pair._matrix = sp.csc_matrix(
-            (np.zeros(len(g_data), dtype=complex), indices, indptr),
-            shape=shape)
-        return pair
-
     @property
     def shape(self) -> tuple[int, int]:
         return self._matrix.shape
-
-    @property
-    def csc_indices(self) -> np.ndarray:
-        """Row indices of the shared CSC pattern (what workers need to ship)."""
-        return self._matrix.indices
-
-    @property
-    def csc_indptr(self) -> np.ndarray:
-        """Column pointers of the shared CSC pattern."""
-        return self._matrix.indptr
 
     def assemble(self, s: complex) -> sp.csc_matrix:
         """Return ``G + s*C`` on the shared pattern (in-place data update)."""
         np.multiply(self.c_data, s, out=self._matrix.data)
         self._matrix.data += self.g_data
         return self._matrix
-
-    def with_private_buffer(self) -> "SharedPatternPair":
-        """A clone whose :meth:`assemble` writes into its own data buffer.
-
-        The (immutable) ``g_data`` / ``c_data`` arrays and the sparsity
-        structure are shared with the parent; only the assembly target is
-        fresh.  This is what lets the per-frequency AC fan-out hand each
-        worker thread its own assembly scratch without re-deriving the union
-        pattern.
-        """
-        clone = object.__new__(SharedPatternPair)
-        clone.g_data = self.g_data
-        clone.c_data = self.c_data
-        clone._matrix = sp.csc_matrix(
-            (np.zeros(self._matrix.nnz, dtype=complex),
-             self._matrix.indices, self._matrix.indptr),
-            shape=self._matrix.shape)
-        return clone

@@ -8,11 +8,13 @@ transfer function of this kind — the paper's ``h_sub^i`` factors.
 
 Two performance properties of the implementation matter for sweeps:
 
-* **Batched multi-RHS solves** — all requested sources are solved through
-  *one* LU factorization per frequency point: the MNA matrices depend only on
-  the operating point (never on a source's AC drive), so the per-source work
-  is one extra right-hand-side column in a single
-  :meth:`~repro.simulator.solver.Factorization.solve` call.
+* **Batched solves** — the MNA matrices depend only on the operating point
+  (never on a source's AC drive), so every requested source is one extra
+  right-hand-side column of the same solve.  Small circuits (the impact
+  netlists) solve every frequency and every source in one dense LAPACK
+  call over an ``(F, n, n)`` stack; larger ones factorize once per
+  frequency point and solve all sources as one multi-RHS block
+  (:func:`~repro.simulator.ac.solve_frequency_sweep`).
 * **No circuit copies** — instead of cloning the circuit per source, the
   independent-source values are swapped out in place (unit AC drive on the
   analysed source, zero on every other) while the right-hand sides are
@@ -34,7 +36,6 @@ from ..netlist.elements import CurrentSource, SourceValue, VoltageSource
 from .dc import DcOptions, DcSolution, dc_operating_point
 from .linalg import LinearSolver, SolverOptions, resolve_solver
 from .mna import MnaStructure
-from .solver import SharedPatternPair, add_gmin_diagonal
 
 
 @dataclass
@@ -107,13 +108,12 @@ def transfer_functions(circuit: Circuit, source_names: Sequence[str],
                        ) -> dict[str, TransferFunction]:
     """Compute ``V(node)/source`` for every (source, node) combination.
 
-    All sources are solved *batched*: per frequency point the complex system
-    ``(G + j*omega*C)`` is assembled on a shared sparsity pattern and
-    factorized once, then every source's unit-drive right-hand side is solved
-    through that single factorization as one multi-RHS block.  ``solver``
-    selects the linear-solver backend; ``solver.options.ac_workers`` shards
-    the frequency points across worker threads, exactly like
-    :func:`~repro.simulator.ac.ac_analysis`.  Returns a mapping
+    All sources are solved *batched*: every source's unit-drive right-hand
+    side is one column of a single multi-RHS solve of ``(G + j*omega*C)``
+    per frequency — one dense LAPACK batch over all frequencies for small
+    circuits, one sparse factorization per frequency through the ``solver``
+    backend above :data:`~repro.simulator.solver.DENSE_MAX_UNKNOWNS`
+    unknowns.  Returns a mapping
     ``source name -> TransferFunction`` (V/V for voltage sources,
     V/A for current sources).
     """
@@ -143,16 +143,11 @@ def transfer_functions(circuit: Circuit, source_names: Sequence[str],
 
     # The small-signal matrices depend on the operating point only, never on
     # the sources' AC values, so they are built once for all sources.
-    from .ac import _ac_rhs, _small_signal_matrices, run_frequency_points
+    from .ac import _ac_rhs, _small_signal_matrices, solve_frequency_sweep
 
     g_matrix, c_matrix = _small_signal_matrices(circuit, structure,
                                                 operating_point)
-    g_matrix = add_gmin_diagonal(g_matrix, structure.n_nodes,
-                                 solver.options.effective_gmin(gmin))
-    pattern = SharedPatternPair(g_matrix, c_matrix)
 
-    vectors = np.zeros((frequencies.size, structure.size, len(source_names)),
-                       dtype=complex)
     with substituted_sources(circuit) as drive:
         # One RHS column per source: swap a unit drive onto each source in
         # turn and read the stamped phasors back off the circuit.
@@ -161,14 +156,9 @@ def transfer_functions(circuit: Circuit, source_names: Sequence[str],
         for column, name in enumerate(source_names):
             drive(name)
             rhs_block[:, column] = _ac_rhs(circuit, structure)
-
-        def per_point(point_solver: LinearSolver, matrix, index: int) -> None:
-            factorization = point_solver.factorize(matrix,
-                                                   structure=structure)
-            vectors[index] = factorization.solve(rhs_block)
-
-        run_frequency_points(pattern, frequencies, solver, per_point,
-                             rhs=rhs_block, out=vectors, multi_rhs=True)
+        vectors = solve_frequency_sweep(g_matrix, c_matrix, frequencies,
+                                        rhs_block, solver, structure,
+                                        solver.options.effective_gmin(gmin))
 
     results: dict[str, TransferFunction] = {}
     for column, name in enumerate(source_names):

@@ -61,8 +61,8 @@ def _canonical(obj, out: list[bytes]) -> None:
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         # A dataclass may exclude result-neutral fields (pure parallelism /
         # memory / transport knobs) from its content identity via
-        # __fingerprint_exclude__: changing SolverOptions.ac_workers,
-        # ac_mode or max_cached_patterns — or how a SweepTask's flow is
+        # __fingerprint_exclude__: changing SolverOptions.max_cached_patterns
+        # — or how a SweepTask's flow is
         # shipped (flow_ref) — must never invalidate cached extractions or
         # refuse campaign resumes.  Every new scheduler knob joins the
         # excluding class's tuple, not this function.

@@ -44,9 +44,6 @@ supported Python — TOML parsing needs the stdlib ``tomllib`` of 3.11+)::
     [solver]                    # linear-solver backend (SolverOptions)
     backend = "reuse-lu"        # "direct" | "reuse-lu" | "iterative"
                                 # | "multigrid"
-    ac_workers = 1              # per-frequency fan-out inside one AC sweep
-    ac_mode = "thread"          # "thread" | "process": process ships the
-                                # frequency blocks to the shared worker pool
     mg_cycle = "v"              # multigrid knobs: "v" | "w" cycles,
     mg_smoother = "rbgs"        # "rbgs" | "jacobi" smoothing
 

@@ -24,9 +24,9 @@ Entry inventory (paper Section 5):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
+import numpy as np
 
 from ..errors import AnalysisError
 from ..simulator.transfer import TransferFunction
@@ -158,35 +158,59 @@ def build_entry_catalog(vco: LcTankVco, vtune: float, *,
 
 
 def entries_at_frequency(catalog: VcoEntryCatalog, transfer: TransferFunction,
-                         noise_frequency: float) -> list[NoiseEntry]:
-    """Evaluate every catalogue entry's ``h_sub`` at one noise frequency.
+                         noise_frequency: "float | np.ndarray"
+                         ) -> "list[NoiseEntry] | list[list[NoiseEntry]]":
+    """Evaluate every catalogue entry's ``h_sub`` at noise frequencies.
+
+    ``noise_frequency`` is one frequency (returns its entry list) or a 1-D
+    array of them (returns one entry list per frequency, each ``h_sub``
+    evaluated over the whole array at once).  Every frequency must be a
+    point of the transfer's grid; an off-grid frequency raises
+    :class:`~repro.errors.AnalysisError` instead of reading a neighbour.
 
     Resistive entries read the node voltage (minus the reference node when
     given) straight from the AC transfer.  Capacitive entries take the voltage
     of the substrate-side port node and multiply by the coupling admittance
     times the victim impedance — the voltage actually induced on the victim.
     """
-    if noise_frequency <= 0:
+    frequencies = np.asarray(noise_frequency, dtype=float)
+    if frequencies.ndim > 1:
+        raise AnalysisError("noise frequencies must be a scalar or 1-D array")
+    grid = np.atleast_1d(frequencies)
+    if np.any(grid <= 0):
         raise AnalysisError("noise frequency must be positive")
-    entries: list[NoiseEntry] = []
-    omega = 2.0 * math.pi * noise_frequency
+    position = {float(f): i for i, f in enumerate(transfer.frequencies)}
+    try:
+        index = np.array([position[f] for f in grid.tolist()], dtype=int)
+    except KeyError as exc:
+        raise AnalysisError(
+            f"noise frequency {exc.args[0]!r} Hz is not a point of the "
+            "transfer-function grid") from None
+
+    def h_of(node: str) -> np.ndarray:
+        return transfer.transfers[node][index]
+
+    columns = []
     for model in catalog.entries:
         if model.observe_node is not None:
-            h = transfer.at(model.observe_node, noise_frequency)
+            h = h_of(model.observe_node)
             if model.reference_node is not None:
-                h -= transfer.at(model.reference_node, noise_frequency)
+                h = h - h_of(model.reference_node)
         elif model.port_node is not None:
-            port_voltage = transfer.at(model.port_node, noise_frequency)
-            h = port_voltage * (1j * omega * model.coupling_capacitance
-                                * model.victim_impedance)
+            omega = 2.0 * np.pi * grid
+            h = h_of(model.port_node) * (1j * omega * model.coupling_capacitance
+                                         * model.victim_impedance)
         else:
             raise AnalysisError(f"entry {model.name!r} has no observable node")
-        entries.append(NoiseEntry(
-            name=model.name, h_sub=complex(h),
-            k_hz_per_volt=model.k_hz_per_volt,
-            g_am_per_volt=model.g_am_per_volt,
-            mechanism=model.mechanism))
-    return entries
+        columns.append((model, h.tolist()))
+    per_frequency = [
+        [NoiseEntry(name=model.name, h_sub=h[point],
+                    k_hz_per_volt=model.k_hz_per_volt,
+                    g_am_per_volt=model.g_am_per_volt,
+                    mechanism=model.mechanism)
+         for model, h in columns]
+        for point in range(grid.size)]
+    return per_frequency if frequencies.ndim else per_frequency[0]
 
 
 def junction_capacitance_sensitivity(model, vgs: float, vds: float, vbs: float,

@@ -466,11 +466,14 @@ def test_ladder_failure_reports_every_strategy():
 
 
 def test_campaign_records_solver_degradations(technology, ft_campaign,
-                                              tmp_path):
+                                              tmp_path, monkeypatch):
     # The iterative solver backend degrades on every non-SPD MNA system
     # (fallbacks -> reuse-LU), which the runner must surface per campaign.
+    # The impact netlist is small enough for the dense path, which never
+    # consults a backend, so the limit is lowered to route it through one.
     from dataclasses import replace
 
+    monkeypatch.setattr(solver_module, "DENSE_MAX_UNKNOWNS", 0)
     options = replace(ft_campaign.options,
                       flow=replace(TINY_MESH,
                                    solver=SolverOptions(backend="iterative")))

@@ -1,9 +1,12 @@
-"""The pluggable linear-solver layer: backend equivalence, fallback, fan-out.
+"""The pluggable linear-solver layer: backend equivalence and fallback.
 
 The equivalence suite runs the same analyses (DC, AC, transient, Kron
 reduction, full extraction flow, VCO spur analysis) through all three
 backends and asserts the reuse-pattern and iterative backends match the
-direct-LU reference to <= 1e-10.  The fallback tests hand CG a non-SPD MNA
+direct-LU reference to <= 1e-10.  Circuits small enough for the dense LAPACK
+path never reach a backend, so the circuit analyses here run on circuits
+padded above ``DENSE_MAX_UNKNOWNS`` (or with the limit lowered).  The
+fallback tests hand CG a non-SPD MNA
 system and assert it silently falls back to LU; the cache-key tests prove
 that campaigns differing only in solver settings never share extraction
 cache entries.
@@ -19,6 +22,7 @@ from repro.errors import SimulationError
 from repro.layout.geometry import Rect
 from repro.netlist import Circuit, SourceValue
 from repro.simulator import ac_analysis, dc_operating_point, transient_analysis
+from repro.simulator import solver as solver_core
 from repro.simulator.linalg import (
     BACKENDS,
     DirectLUSolver,
@@ -61,6 +65,17 @@ def _mosfet_circuit(technology):
     return circuit
 
 
+def _above_dense_limit(circuit):
+    """Pad ``circuit`` with a grounded resistor chain so its MNA system is
+    larger than ``DENSE_MAX_UNKNOWNS`` and goes through the sparse backends."""
+    previous = "0"
+    for index in range(solver_core.DENSE_MAX_UNKNOWNS):
+        node = f"pad{index}"
+        circuit.add_resistor(f"Rpad{index}", previous, node, 1e3)
+        previous = node
+    return circuit
+
+
 def _mesh_system(technology):
     """A small substrate-mesh Laplacian plus port contacts (SPD)."""
     spec = MeshSpec(region=Rect(0, 0, 120e-6, 120e-6), nx=8, ny=8,
@@ -81,8 +96,9 @@ def _mesh_system(technology):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_dc_backends_match_direct(technology, backend):
-    reference = dc_operating_point(_mosfet_circuit(technology)).vector
-    solution = dc_operating_point(_mosfet_circuit(technology),
+    circuit = _above_dense_limit(_mosfet_circuit(technology))
+    reference = dc_operating_point(circuit).vector
+    solution = dc_operating_point(circuit,
                                   solver=SolverOptions(backend=backend))
     assert np.allclose(solution.vector, reference, atol=EQUIV_ATOL)
 
@@ -90,8 +106,9 @@ def test_dc_backends_match_direct(technology, backend):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_ac_backends_match_direct(backend):
     frequencies = np.logspace(3, 9, 9)
-    reference = ac_analysis(_rc_circuit(), frequencies).vectors
-    vectors = ac_analysis(_rc_circuit(), frequencies,
+    circuit = _above_dense_limit(_rc_circuit())
+    reference = ac_analysis(circuit, frequencies).vectors
+    vectors = ac_analysis(circuit, frequencies,
                           solver=SolverOptions(backend=backend)).vectors
     assert np.allclose(vectors, reference, atol=EQUIV_ATOL)
 
@@ -145,8 +162,12 @@ def test_extraction_flow_backends_match_direct(technology, nmos_cell, backend):
     assert flow.summary()["solver_backend"] == backend
 
 
-def test_vco_spur_analysis_backends_match_direct(technology, vco_analysis):
+def test_vco_spur_analysis_backends_match_direct(technology, vco_analysis,
+                                                monkeypatch):
     """The Fig-8/Fig-10 style spur analysis matches across backends.
+
+    The impact testbench is small enough for the dense path, so the limit
+    is lowered to make every solve go through the backend under test.
 
     The linear solves (the substrate-to-node transfer functions at a fixed
     operating point) must match the direct backend to <= 1e-10; the
@@ -158,6 +179,7 @@ def test_vco_spur_analysis_backends_match_direct(technology, vco_analysis):
 
     from repro.core.vco_experiment import VcoImpactAnalysis
 
+    monkeypatch.setattr(solver_core, "DENSE_MAX_UNKNOWNS", 0)
     reference, _, _, tf_reference = vco_analysis.analyze(0.0)
     circuit = vco_analysis.build_testbench(0.0)
     operating_point = dc_operating_point(circuit)
@@ -211,7 +233,8 @@ def test_reuse_solver_refactorizes_same_pattern(technology):
 
 def test_reuse_solver_shares_patterns_across_newton_iterations(technology):
     solver = ReusePatternLUSolver()
-    solution = dc_operating_point(_mosfet_circuit(technology), solver=solver)
+    solution = dc_operating_point(_above_dense_limit(
+        _mosfet_circuit(technology)), solver=solver)
     assert solution.iterations > 1
     assert solver.stats.factorizations == solution.iterations
     # Iterations that repeat an already-seen companion-stamp pattern reuse
@@ -236,7 +259,7 @@ def test_reuse_solver_pattern_cache_is_bounded():
 
 def test_iterative_falls_back_on_non_spd_mna_system():
     """A matrix with voltage-source branch rows is not SPD: silent LU."""
-    circuit = _rc_circuit()
+    circuit = _above_dense_limit(_rc_circuit())
     solver = IterativeSolver()
     reference = dc_operating_point(circuit).vector
     solution = dc_operating_point(circuit, solver=solver)
@@ -272,53 +295,19 @@ def test_iterative_solves_complex_rhs_by_two_real_solves(technology):
     assert solver.stats.fallbacks == 0
 
 
-# -- per-frequency AC fan-out ---------------------------------------------------------------
+# -- per-instance stats -------------------------------------------------------------------
 
 
-def test_ac_workers_match_serial(technology):
-    circuit = _mosfet_circuit(technology)
-    frequencies = np.logspace(4, 9, 11)
-    serial = ac_analysis(circuit, frequencies)
-    for backend in BACKENDS:
-        sharded = ac_analysis(
-            circuit, frequencies,
-            solver=SolverOptions(backend=backend, ac_workers=3))
-        assert np.allclose(sharded.vectors, serial.vectors, atol=1e-12)
-
-
-def test_transfer_ac_workers_match_serial():
-    circuit = _rc_circuit()
-    frequencies = np.logspace(3, 8, 10)
-    serial = transfer_functions(circuit, ["V1"], ["out", "mid"], frequencies)
-    sharded = transfer_functions(
-        circuit, ["V1"], ["out", "mid"], frequencies,
-        solver=SolverOptions(backend="reuse-lu", ac_workers=4))
-    for node in ("out", "mid"):
-        assert np.allclose(sharded["V1"].transfers[node],
-                           serial["V1"].transfers[node], atol=1e-12)
-
-
-def test_ac_fanout_aggregates_worker_stats():
-    circuit = _rc_circuit()
-    frequencies = np.logspace(3, 8, 8)
-    solver = DirectLUSolver(SolverOptions(ac_workers=4))
-    ac_analysis(circuit, frequencies, solver=solver)
-    # All 8 per-frequency solves are visible on the parent solver's stats,
-    # aggregated from the spawned workers rather than raced on a global.
-    assert solver.stats.solves == len(frequencies)
-
-
-def test_spawned_workers_do_not_touch_global_stats():
+def test_unmirrored_solver_does_not_touch_global_stats():
     from repro.simulator.solver import stats as global_stats
 
     matrix = sp.csc_matrix(3.0 * np.eye(4))
-    parent = DirectLUSolver()
-    worker = parent.spawn()
+    solver = DirectLUSolver(mirror_global=False)
     before = global_stats.factorizations
-    worker.factorize(matrix)
+    solver.factorize(matrix)
     assert global_stats.factorizations == before
-    parent.absorb(worker)
-    assert parent.stats.factorizations == 1
+    assert solver.stats.factorizations == 1
+    DirectLUSolver().factorize(matrix)
     assert global_stats.factorizations == before + 1
 
 
@@ -330,8 +319,6 @@ def test_solver_options_validation():
         SolverOptions(backend="cholesky")
     with pytest.raises(SimulationError, match="preconditioner"):
         SolverOptions(preconditioner="ssor")
-    with pytest.raises(SimulationError, match="ac_workers"):
-        SolverOptions(ac_workers=0)
 
 
 def test_mna_solve_sparse_routes_through_solver_seam():
@@ -383,12 +370,12 @@ def test_solver_options_are_part_of_extraction_cache_key(technology,
     key_tight = extraction_key(nmos_cell, technology, tight)
     assert len({key_base, key_loose, key_tight}) == 3
 
-    # Pure parallelism / memory knobs never influence results, so they must
-    # not invalidate cached extractions.
-    sharded = FlowOptions(
+    # Pure memory knobs never influence results, so they must not
+    # invalidate cached extractions.
+    small_cache = FlowOptions(
         substrate=base.substrate,
-        solver=SolverOptions(ac_workers=4, max_cached_patterns=2))
-    assert extraction_key(nmos_cell, technology, sharded) == key_base
+        solver=SolverOptions(max_cached_patterns=2))
+    assert extraction_key(nmos_cell, technology, small_cache) == key_base
 
     # Two campaigns differing only in the [solver] tolerance must not share
     # DiskExtractionCache entries: an entry stored under one key is a miss
@@ -417,12 +404,12 @@ def test_campaign_fingerprint_and_sidecar_record_solver(technology):
     assert default.fingerprint() != tuned.fingerprint()
     assert tuned.describe()["options"]["solver"]["backend"] == "reuse-lu"
 
-    # ac_workers is results-neutral: same fingerprint, so stored results of
-    # a serial run still resume a sharded re-run.
-    sharded = Campaign(
+    # max_cached_patterns is results-neutral: same fingerprint, so stored
+    # results still resume a re-run with a different pattern-cache size.
+    small_cache = Campaign(
         name="c", space=space,
         options=replace(
             VcoExperimentOptions(),
             flow=replace(VcoExperimentOptions().flow,
-                         solver=SolverOptions(ac_workers=3))))
-    assert sharded.fingerprint() == default.fingerprint()
+                         solver=SolverOptions(max_cached_patterns=3))))
+    assert small_cache.fingerprint() == default.fingerprint()

@@ -267,7 +267,7 @@ def test_empty_and_shape_errors(technology):
         factorization.solve(np.zeros(3))
 
 
-# -- stats, spawn/absorb, registry --------------------------------------------------
+# -- stats, registry ----------------------------------------------------------------
 
 
 def test_multigrid_registered_in_backends():
@@ -277,15 +277,16 @@ def test_multigrid_registered_in_backends():
     assert solver.stats.backend == BACKEND_MULTIGRID
 
 
-def test_spawned_worker_counts_are_absorbed(technology):
+def test_multigrid_counts_into_its_own_stats(technology):
+    from repro.simulator.solver import stats as global_stats
+
     mesh, matrix, rhs = _mesh_system(technology)
     solver = MultigridSolver(_mg_options(), mirror_global=False)
-    worker = solver.spawn()
-    worker.factorize(matrix, grid=mesh.grid_geometry()).solve(rhs)
-    assert solver.stats.mg_solves == 0
-    solver.absorb(worker)
+    before = global_stats.mg_solves
+    solver.factorize(matrix, grid=mesh.grid_geometry()).solve(rhs)
     assert solver.stats.mg_solves == rhs.shape[1]
-    assert solver.stats.mg_cycles == worker.stats.mg_cycles > 0
+    assert solver.stats.mg_cycles > 0
+    assert global_stats.mg_solves == before
 
 
 # -- options and cache-key participation --------------------------------------------

@@ -196,8 +196,8 @@ def test_connectivity_graph_connected():
     circuit.add_voltage_source("V1", "in", "0", 1.0)
     circuit.add_resistor("R1", "in", "out", 1.0)
     graph = circuit.connectivity_graph()
-    assert graph.has_node("out")
-    assert graph.has_edge("in", "out")
+    assert "out" in graph
+    assert "out" in graph["in"] and "in" in graph["out"]
 
 
 # -- subcircuits ------------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Tests of the batched transfer-function analysis.
 
 The multi-source path must solve every source through *one* factorization per
-frequency point (the ROADMAP's multi-RHS batching), and the in-place source
-substitution must restore the caller's circuit even when the solve fails.
+frequency point (multi-RHS batching), and the in-place source substitution
+must restore the caller's circuit even when the solve fails.
 """
 
 from __future__ import annotations
@@ -70,12 +70,13 @@ def test_sources_are_restored_on_solver_error(monkeypatch):
     circuit = _summing_network()
     originals = {element.name: element.value for element in circuit.sources()}
 
-    from repro.simulator.linalg import DirectLUSolver
+    from repro.simulator.linalg import LinearSolver
 
-    def failing_factorize(self, matrix, structure=None):
+    def failing_solve_dense(self, *args, **kwargs):
         raise SimulationError("injected factorization failure")
 
-    monkeypatch.setattr(DirectLUSolver, "factorize", failing_factorize)
+    # The network is small enough for the dense batch: fail that solve.
+    monkeypatch.setattr(LinearSolver, "solve_dense", failing_solve_dense)
     with pytest.raises(SimulationError, match="injected"):
         transfer_functions(circuit, ["V1"], ["out"], [1e3])
     for element in circuit.sources():

@@ -136,14 +136,14 @@ def test_config_rejects_unknown_keys(tmp_path):
 
 def test_solver_table_selects_backend(tmp_path):
     config = dict(TINY_CONFIG,
-                  solver={"backend": "reuse-lu", "ac_workers": 2,
+                  solver={"backend": "reuse-lu", "max_cached_patterns": 2,
                           "cg_rtol": 1e-11})
     path = tmp_path / "solver.json"
     path.write_text(json.dumps(config))
     campaign = load_campaign_config(path).campaign
     solver = campaign.options.flow.solver
     assert solver.backend == "reuse-lu"
-    assert solver.ac_workers == 2
+    assert solver.max_cached_patterns == 2
     assert solver.cg_rtol == 1e-11
     # The sidecar-bound description records the solver table verbatim.
     assert campaign.describe()["options"]["solver"]["backend"] == "reuse-lu"
@@ -155,6 +155,11 @@ def test_solver_table_rejects_unknown_keys_and_backends(tmp_path):
                                     solver={"no_such_option": 1})))
     with pytest.raises(AnalysisError, match="no_such_option"):
         load_campaign_config(path)
+    # The removed frequency fan-out knobs are unknown keys now.
+    path.write_text(json.dumps(dict(TINY_CONFIG,
+                                    solver={"ac_workers": 2})))
+    with pytest.raises(AnalysisError, match="ac_workers"):
+        load_campaign_config(path)
     path.write_text(json.dumps(dict(TINY_CONFIG,
                                     solver={"backend": "cholesky"})))
     with pytest.raises(Exception, match="cholesky"):
@@ -162,7 +167,7 @@ def test_solver_table_rejects_unknown_keys_and_backends(tmp_path):
     # A wrong-typed value (a quoted number) is a clean config error, not a
     # TypeError traceback.
     path.write_text(json.dumps(dict(TINY_CONFIG,
-                                    solver={"ac_workers": "2"})))
+                                    solver={"max_cached_patterns": "2"})))
     with pytest.raises(AnalysisError, match="invalid \\[solver\\]"):
         load_campaign_config(path)
 
