@@ -14,7 +14,8 @@ The package provides every stage of the paper's Figure-2 flow:
 * :mod:`repro.interconnect` — wire resistance / capacitance extraction,
 * :mod:`repro.extraction` — circuit extraction and model merging,
 * :mod:`repro.package` — bondwire / RF-probe models,
-* :mod:`repro.simulator` — sparse-MNA DC / AC / transfer / transient engine,
+* :mod:`repro.simulator` — MNA DC / AC / transfer / transient engine (dense
+  LAPACK up to 64 unknowns, pluggable sparse backends above),
 * :mod:`repro.devices`, :mod:`repro.vco` — device and LC-tank VCO models,
 * :mod:`repro.core` — the assembled methodology and the per-figure experiments,
 * :mod:`repro.studies` — the design-study sweep engine (declarative spur
@@ -30,61 +31,21 @@ Quickstart::
     technology = make_technology()
     result = run_nmos_experiment(technology)
     print(result.comparison.max_abs_error_db)
+
+The subpackages and the error classes are re-exported lazily: ``import repro``
+loads nothing until a name is used.
 """
 
-from . import (
-    analysis,
-    core,
-    data,
-    devices,
-    extraction,
-    interconnect,
-    layout,
-    netlist,
-    package,
-    simulator,
-    studies,
-    substrate,
-    technology,
-    units,
-    vco,
-)
-from .errors import (
-    AnalysisError,
-    ConvergenceError,
-    ExtractionError,
-    LayoutError,
-    NetlistError,
-    ReproError,
-    SimulationError,
-    TechnologyError,
-)
+from ._lazy import attach
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalysisError",
-    "ConvergenceError",
-    "ExtractionError",
-    "LayoutError",
-    "NetlistError",
-    "ReproError",
-    "SimulationError",
-    "TechnologyError",
-    "__version__",
-    "analysis",
-    "core",
-    "data",
-    "devices",
-    "extraction",
-    "interconnect",
-    "layout",
-    "netlist",
-    "package",
-    "simulator",
-    "studies",
-    "substrate",
-    "technology",
-    "units",
-    "vco",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    ".": ("analysis", "core", "data", "devices", "extraction", "interconnect",
+          "layout", "netlist", "package", "simulator", "studies", "substrate",
+          "technology", "units", "vco"),
+    ".errors": ("AnalysisError", "ConvergenceError", "ExtractionError",
+                "LayoutError", "NetlistError", "ReproError", "SimulationError",
+                "TechnologyError"),
+})
+__all__.append("__version__")

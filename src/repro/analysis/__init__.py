@@ -1,16 +1,10 @@
 """Analysis helpers: noise waveforms, spectrum emulation, curve comparison."""
 
-from .waveforms import DigitalSwitchingNoise, SinusoidalNoise
-from .spectrum import Spectrum, compute_spectrum
-from .compare import CurveComparison, classify_mechanism, compare_curves, slope_per_decade
+from .._lazy import attach
 
-__all__ = [
-    "CurveComparison",
-    "DigitalSwitchingNoise",
-    "SinusoidalNoise",
-    "Spectrum",
-    "classify_mechanism",
-    "compare_curves",
-    "compute_spectrum",
-    "slope_per_decade",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    ".waveforms": ("DigitalSwitchingNoise", "SinusoidalNoise"),
+    ".spectrum": ("Spectrum", "compute_spectrum"),
+    ".compare": ("CurveComparison", "classify_mechanism", "compare_curves",
+                 "slope_per_decade"),
+})

@@ -1,37 +1,13 @@
 """The paper's methodology: extraction flow and figure-level experiments."""
 
-from .flow import FlowOptions, FlowResult, FlowTimings, run_extraction_flow
-from .nmos import NmosExperimentOptions, run_nmos_experiment
-from .results import (
-    ContributionResult,
-    DesignStudyResult,
-    MechanismReport,
-    NmosExperimentResult,
-    SpurSweepPoint,
-    VcoSpurSweepResult,
-)
-from .vco_experiment import (
-    VcoExperimentOptions,
-    VcoImpactAnalysis,
-    ground_resistance_study,
-    mechanism_report,
-)
+from .._lazy import attach
 
-__all__ = [
-    "ContributionResult",
-    "DesignStudyResult",
-    "FlowOptions",
-    "FlowResult",
-    "FlowTimings",
-    "MechanismReport",
-    "NmosExperimentOptions",
-    "NmosExperimentResult",
-    "SpurSweepPoint",
-    "VcoExperimentOptions",
-    "VcoImpactAnalysis",
-    "VcoSpurSweepResult",
-    "ground_resistance_study",
-    "mechanism_report",
-    "run_extraction_flow",
-    "run_nmos_experiment",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    ".flow": ("FlowOptions", "FlowResult", "FlowTimings", "run_extraction_flow"),
+    ".nmos": ("NmosExperimentOptions", "run_nmos_experiment"),
+    ".results": ("ContributionResult", "DesignStudyResult", "MechanismReport",
+                 "NmosExperimentResult", "SpurSweepPoint",
+                 "VcoSpurSweepResult"),
+    ".vco_experiment": ("VcoExperimentOptions", "VcoImpactAnalysis",
+                        "ground_resistance_study", "mechanism_report"),
+})

@@ -1,5 +1,5 @@
 """Reference data reconstructed from the paper's quoted numbers and figures."""
 
-from . import measurements
+from .._lazy import attach
 
-__all__ = ["measurements"]
+__getattr__, __dir__, __all__ = attach(__name__, {".": ("measurements",)})

@@ -1,13 +1,9 @@
 """Device models: MOSFET, accumulation-mode varactor, spiral inductor."""
 
-from .mosfet import MosfetGeometry, MosfetModel, MosfetOperatingPoint
-from .varactor import AccumulationModeVaractor
-from .inductor import SpiralInductor
+from .._lazy import attach
 
-__all__ = [
-    "AccumulationModeVaractor",
-    "MosfetGeometry",
-    "MosfetModel",
-    "MosfetOperatingPoint",
-    "SpiralInductor",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    ".mosfet": ("MosfetGeometry", "MosfetModel", "MosfetOperatingPoint"),
+    ".varactor": ("AccumulationModeVaractor",),
+    ".inductor": ("SpiralInductor",),
+})

@@ -1,6 +1,8 @@
 """Circuit extraction and model merging (the glue of the paper's Figure-2 flow)."""
 
-from .circuit_extractor import ExtractedCircuit, extract_circuit
-from .merge import ImpactNetlist, merge_models
+from .._lazy import attach
 
-__all__ = ["ExtractedCircuit", "ImpactNetlist", "extract_circuit", "merge_models"]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    ".circuit_extractor": ("ExtractedCircuit", "extract_circuit"),
+    ".merge": ("ImpactNetlist", "merge_models"),
+})

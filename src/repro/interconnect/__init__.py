@@ -1,15 +1,9 @@
 """Interconnect parasitic extraction: wire resistance and substrate capacitance."""
 
-from .rcnetwork import WireRC
-from .extraction import (
-    InterconnectExtraction,
-    PIN_SNAP_TOLERANCE,
-    extract_interconnect,
-)
+from .._lazy import attach
 
-__all__ = [
-    "InterconnectExtraction",
-    "PIN_SNAP_TOLERANCE",
-    "WireRC",
-    "extract_interconnect",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    ".rcnetwork": ("WireRC",),
+    ".extraction": ("InterconnectExtraction", "PIN_SNAP_TOLERANCE",
+                    "extract_interconnect"),
+})

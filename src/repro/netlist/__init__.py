@@ -1,40 +1,15 @@
 """Netlist model: circuits, linear elements, nonlinear devices, subcircuits."""
 
-from .stamping import GROUND, Stamper
-from .elements import (
-    Capacitor,
-    CurrentSource,
-    Element,
-    Inductor,
-    Resistor,
-    SourceValue,
-    TwoTerminal,
-    VoltageControlledCurrentSource,
-    VoltageControlledVoltageSource,
-    VoltageSource,
-    vectorized_waveform,
-)
-from .devices import MosfetElement, NonlinearElement, VaractorElement
-from .circuit import Circuit
-from .subckt import Subcircuit
+from .._lazy import attach
 
-__all__ = [
-    "Capacitor",
-    "Circuit",
-    "CurrentSource",
-    "Element",
-    "GROUND",
-    "Inductor",
-    "MosfetElement",
-    "NonlinearElement",
-    "Resistor",
-    "SourceValue",
-    "Stamper",
-    "Subcircuit",
-    "TwoTerminal",
-    "VaractorElement",
-    "VoltageControlledCurrentSource",
-    "VoltageControlledVoltageSource",
-    "VoltageSource",
-    "vectorized_waveform",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    ".stamping": ("GROUND", "Stamper"),
+    ".elements": ("Capacitor", "CurrentSource", "Element", "Inductor",
+                  "Resistor", "SourceValue", "TwoTerminal",
+                  "VoltageControlledCurrentSource",
+                  "VoltageControlledVoltageSource", "VoltageSource",
+                  "vectorized_waveform"),
+    ".devices": ("MosfetElement", "NonlinearElement", "VaractorElement"),
+    ".circuit": ("Circuit",),
+    ".subckt": ("Subcircuit",),
+})

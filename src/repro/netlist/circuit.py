@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from ..devices.mosfet import MosfetGeometry, MosfetModel
 from ..devices.varactor import AccumulationModeVaractor
@@ -185,6 +183,9 @@ class Circuit:
         These nodes make the DC operating point singular; the impact-flow
         assembly adds large bleed resistors for them and reports their names.
         """
+        import scipy.sparse as sp
+        from scipy.sparse.csgraph import connected_components
+
         nodes = self.nodes()
         index = {GROUND: 0, **{node: i + 1 for i, node in enumerate(nodes)}}
         edges: list[tuple[int, int]] = []

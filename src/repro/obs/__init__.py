@@ -18,68 +18,18 @@ Four pieces, one import point:
 diagnostics under the ``repro.`` logger namespace.
 """
 
-from .campaign import (
-    CampaignObserver,
-    CompositeObserver,
-    ProgressReporter,
-    RunLogRecorder,
-)
-from .export import (
-    export_chrome_trace,
-    runlog_to_chrome_trace,
-    spans_to_trace_events,
-    validate_trace_events,
-)
-from .logs import ROOT_LOGGER_NAME, configure_logging, get_logger
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry, registry
-from .runlog import (
-    EVENT_KINDS,
-    RUNLOG_FORMAT_VERSION,
-    RunLogWriter,
-    read_run_log,
-    runlog_path_for,
-    validate_run_log,
-)
-from .trace import (
-    SpanRecord,
-    TraceContext,
-    Tracer,
-    collect_spans,
-    current_context,
-    span_aggregates,
-    trace_span,
-    tracer,
-)
+from .._lazy import attach
 
-__all__ = [
-    "CampaignObserver",
-    "CompositeObserver",
-    "ProgressReporter",
-    "RunLogRecorder",
-    "export_chrome_trace",
-    "runlog_to_chrome_trace",
-    "spans_to_trace_events",
-    "validate_trace_events",
-    "ROOT_LOGGER_NAME",
-    "configure_logging",
-    "get_logger",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "registry",
-    "EVENT_KINDS",
-    "RUNLOG_FORMAT_VERSION",
-    "RunLogWriter",
-    "read_run_log",
-    "runlog_path_for",
-    "validate_run_log",
-    "SpanRecord",
-    "TraceContext",
-    "Tracer",
-    "collect_spans",
-    "current_context",
-    "span_aggregates",
-    "trace_span",
-    "tracer",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    ".campaign": ("CampaignObserver", "CompositeObserver", "ProgressReporter",
+                  "RunLogRecorder"),
+    ".export": ("export_chrome_trace", "runlog_to_chrome_trace",
+                "spans_to_trace_events", "validate_trace_events"),
+    ".logs": ("ROOT_LOGGER_NAME", "configure_logging", "get_logger"),
+    ".metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry",
+                 "registry"),
+    ".runlog": ("EVENT_KINDS", "RUNLOG_FORMAT_VERSION", "RunLogWriter",
+                "read_run_log", "runlog_path_for", "validate_run_log"),
+    ".trace": ("SpanRecord", "TraceContext", "Tracer", "collect_spans",
+               "current_context", "span_aggregates", "trace_span", "tracer"),
+})

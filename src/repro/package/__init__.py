@@ -1,5 +1,7 @@
 """Package / probe parasitic models."""
 
-from .model import BondwireModel, Connection, PackageModel, RfProbeModel
+from .._lazy import attach
 
-__all__ = ["BondwireModel", "Connection", "PackageModel", "RfProbeModel"]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    ".model": ("BondwireModel", "Connection", "PackageModel", "RfProbeModel"),
+})

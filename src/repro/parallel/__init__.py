@@ -7,50 +7,14 @@ One process pool (:mod:`~repro.parallel.pool`), one task vocabulary
 a thin adapter over :class:`WorkScheduler`.
 """
 
-from .plan import (
-    ON_ERROR_ABORT,
-    ON_ERROR_POLICIES,
-    ON_ERROR_RETRY_THEN_SKIP,
-    ON_ERROR_SKIP,
-    TaskFailure,
-    WorkItem,
-    validate_plan,
-)
-from .pool import (
-    MAX_WORKERS_ENV,
-    SharedProcessPool,
-    default_max_workers,
-    shared_pool,
-)
-from .scheduler import WorkScheduler
-from .shm import (
-    ArenaHandle,
-    InlineArena,
-    ObjectShipper,
-    SharedArena,
-    attach_arena,
-    load_object,
-    ship_object,
-)
+from .._lazy import attach
 
-__all__ = [
-    "ArenaHandle",
-    "InlineArena",
-    "MAX_WORKERS_ENV",
-    "ObjectShipper",
-    "ON_ERROR_ABORT",
-    "ON_ERROR_POLICIES",
-    "ON_ERROR_RETRY_THEN_SKIP",
-    "ON_ERROR_SKIP",
-    "SharedArena",
-    "SharedProcessPool",
-    "TaskFailure",
-    "WorkItem",
-    "WorkScheduler",
-    "attach_arena",
-    "default_max_workers",
-    "load_object",
-    "shared_pool",
-    "ship_object",
-    "validate_plan",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    ".plan": ("ON_ERROR_ABORT", "ON_ERROR_POLICIES", "ON_ERROR_RETRY_THEN_SKIP",
+              "ON_ERROR_SKIP", "TaskFailure", "WorkItem", "validate_plan"),
+    ".pool": ("MAX_WORKERS_ENV", "SharedProcessPool", "default_max_workers",
+              "shared_pool"),
+    ".scheduler": ("WorkScheduler",),
+    ".shm": ("ArenaHandle", "InlineArena", "ObjectShipper", "SharedArena",
+             "attach_arena", "load_object", "ship_object"),
+})

@@ -1,64 +1,25 @@
-"""Sparse-MNA circuit simulator: DC, AC, transfer-function and transient analyses."""
+"""MNA circuit simulator: DC, AC, transfer-function and transient analyses.
 
-from .mna import MatrixStamper, MnaStructure, SolutionView, solve_sparse, stamp_linear_elements
-from .solver import (
-    Factorization,
-    SharedPatternPair,
-    SolverStats,
-    add_gmin_diagonal,
-    factorize,
-    gmin_diagonal,
-    stats as solver_stats,
-)
-from .linalg import (
-    DirectLUSolver,
-    IterativeSolver,
-    LinearSolver,
-    ReusePatternLUSolver,
-    SolverOptions,
-    make_solver,
-    resolve_solver,
-)
-from .dc import DcOptions, DcSolution, dc_operating_point
-from .ac import AcSolution, ac_analysis
-from .transfer import (
-    TransferFunction,
-    substituted_sources,
-    transfer_function,
-    transfer_functions,
-)
-from .transient import TransientOptions, TransientSolution, transient_analysis
+Systems of up to ``solver.DENSE_MAX_UNKNOWNS`` (64) unknowns solve densely with
+LAPACK; larger ones, and transient analysis, go through the sparse backends
+of :mod:`repro.simulator.linalg`.
+"""
 
-__all__ = [
-    "AcSolution",
-    "DcOptions",
-    "DcSolution",
-    "DirectLUSolver",
-    "Factorization",
-    "IterativeSolver",
-    "LinearSolver",
-    "MatrixStamper",
-    "MnaStructure",
-    "ReusePatternLUSolver",
-    "SharedPatternPair",
-    "SolutionView",
-    "SolverOptions",
-    "SolverStats",
-    "TransferFunction",
-    "TransientOptions",
-    "TransientSolution",
-    "ac_analysis",
-    "add_gmin_diagonal",
-    "dc_operating_point",
-    "factorize",
-    "gmin_diagonal",
-    "make_solver",
-    "resolve_solver",
-    "solve_sparse",
-    "solver_stats",
-    "stamp_linear_elements",
-    "substituted_sources",
-    "transfer_function",
-    "transfer_functions",
-    "transient_analysis",
-]
+from .._lazy import attach
+
+__getattr__, __dir__, __all__ = attach(__name__, {
+    ".mna": ("MatrixStamper", "MnaStructure", "SolutionView", "solve_sparse",
+             "stamp_linear_elements"),
+    ".solver": ("Factorization", "SharedPatternPair", "SolverStats",
+                "add_gmin_diagonal", "factorize", "gmin_diagonal",
+                "stats as solver_stats"),
+    ".linalg": ("DirectLUSolver", "IterativeSolver", "LinearSolver",
+                "ReusePatternLUSolver", "SolverOptions", "make_solver",
+                "resolve_solver"),
+    ".dc": ("DcOptions", "DcSolution", "dc_operating_point"),
+    ".ac": ("AcSolution", "ac_analysis"),
+    ".transfer": ("TransferFunction", "substituted_sources",
+                  "transfer_function", "transfer_functions"),
+    ".transient": ("TransientOptions", "TransientSolution",
+                   "transient_analysis"),
+})

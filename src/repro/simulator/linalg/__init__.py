@@ -12,54 +12,18 @@ Backends: :class:`DirectLUSolver` (SuperLU, the reference),
 factorizations), :class:`IterativeSolver` (preconditioned CG for SPD systems
 with automatic direct-LU fallback), and :class:`MultigridSolver` (geometric
 multigrid on the structured substrate grid, degrading to CG/ILU then LU on
-non-grid or non-SPD systems).
+non-grid or non-SPD systems).  The multigrid module is imported only when
+its backend is built (:func:`make_solver`) or one of its names is used.
 """
 
-from ..solver import SolverStats
-from .backends import (
-    DirectLUSolver,
-    IterativeSolver,
-    LinearSolver,
-    ReusePatternLUSolver,
-    make_solver,
-    resolve_solver,
-)
+from ..._lazy import attach
 
-# multigrid imports from .backends and self-registers into its backend
-# registry, so it must come after — and the package __init__ always runs
-# before any submodule import, which guarantees registration.
-from .multigrid import GridGeometry, MultigridSolver
-from .options import (
-    BACKEND_DIRECT,
-    BACKEND_ITERATIVE,
-    BACKEND_MULTIGRID,
-    BACKEND_REUSE_LU,
-    BACKENDS,
-    MG_CYCLES,
-    MG_MODES,
-    MG_SMOOTHERS,
-    PRECONDITIONERS,
-    SolverOptions,
-)
-
-__all__ = [
-    "BACKENDS",
-    "BACKEND_DIRECT",
-    "BACKEND_ITERATIVE",
-    "BACKEND_MULTIGRID",
-    "BACKEND_REUSE_LU",
-    "DirectLUSolver",
-    "GridGeometry",
-    "IterativeSolver",
-    "LinearSolver",
-    "MG_CYCLES",
-    "MG_MODES",
-    "MG_SMOOTHERS",
-    "MultigridSolver",
-    "PRECONDITIONERS",
-    "ReusePatternLUSolver",
-    "SolverOptions",
-    "SolverStats",
-    "make_solver",
-    "resolve_solver",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "..solver": ("SolverStats",),
+    ".backends": ("DirectLUSolver", "IterativeSolver", "LinearSolver",
+                  "ReusePatternLUSolver", "make_solver", "resolve_solver"),
+    ".multigrid": ("GridGeometry", "MultigridSolver"),
+    ".options": ("BACKEND_DIRECT", "BACKEND_ITERATIVE", "BACKEND_MULTIGRID",
+                 "BACKEND_REUSE_LU", "BACKENDS", "MG_CYCLES", "MG_MODES",
+                 "MG_SMOOTHERS", "PRECONDITIONERS", "SolverOptions"),
+})

@@ -30,25 +30,19 @@ Three implementations ship behind the seam:
 
 A fourth backend, the geometric-multigrid
 :class:`~repro.simulator.linalg.MultigridSolver`, lives in
-:mod:`repro.simulator.linalg.multigrid` and self-registers via
-:func:`register_backend`.
+:mod:`repro.simulator.linalg.multigrid`; :func:`make_solver` imports it on
+demand.  scipy is imported by the sparse code paths themselves, so a
+process whose circuits all solve densely never loads it.
 """
 
 from __future__ import annotations
 
 import hashlib
-import inspect
 import warnings
 from collections import OrderedDict
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-
-#: Keyword spelling of CG's relative tolerance: ``rtol`` since SciPy 1.12,
-#: ``tol`` before that (the package declares scipy >= 1.10).
-_CG_RTOL_KEYWORD = ("rtol" if "rtol" in inspect.signature(spla.cg).parameters
-                    else "tol")
 
 from ...errors import SimulationError
 from ...obs import get_logger, trace_span
@@ -64,9 +58,13 @@ from ..solver import (
 from .options import (
     BACKEND_DIRECT,
     BACKEND_ITERATIVE,
+    BACKEND_MULTIGRID,
     BACKEND_REUSE_LU,
     SolverOptions,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 logger = get_logger(__name__)
 
@@ -154,6 +152,8 @@ def _canonical_csc(matrix: sp.spmatrix) -> sp.csc_matrix:
     sparsity pattern value-dependent and defeat the whole point of symbolic
     reuse (the same stamps must always produce the same pattern).
     """
+    import scipy.sparse as sp
+
     csc = sp.csc_matrix(matrix)
     if csc is matrix:
         csc = csc.copy()
@@ -257,6 +257,8 @@ class ReusePatternLUSolver(LinearSolver):
 
     @staticmethod
     def _splu(matrix: sp.csc_matrix, structure, **kwargs):
+        import scipy.sparse.linalg as spla
+
         try:
             return spla.splu(matrix, **kwargs)
         except RuntimeError as exc:
@@ -266,6 +268,8 @@ class ReusePatternLUSolver(LinearSolver):
 
     def _remember(self, key: bytes, csc: sp.csc_matrix,
                   perm_c: np.ndarray) -> None:
+        import scipy.sparse as sp
+
         order = np.empty_like(perm_c)
         order[perm_c] = np.arange(len(perm_c), dtype=perm_c.dtype)
         lengths = np.diff(csc.indptr)[order]
@@ -321,7 +325,7 @@ def _amg_preconditioner(csc: sp.csc_matrix):
         import pyamg
     except ImportError:
         return None
-    ml = pyamg.smoothed_aggregation_solver(sp.csr_matrix(csc))
+    ml = pyamg.smoothed_aggregation_solver(csc.tocsr())
     return ml.aspreconditioner(cycle="V")
 
 
@@ -356,6 +360,8 @@ class _CgFactorization:
             # An earlier column already proved CG stagnant on this system;
             # don't burn maxiter iterations per remaining column.
             return self._lu.solve(rhs)
+        import scipy.sparse.linalg as spla
+
         options = self._solver.options
         iterations = 0
 
@@ -363,12 +369,11 @@ class _CgFactorization:
             nonlocal iterations
             iterations += 1
 
-        tolerances = {_CG_RTOL_KEYWORD: options.cg_rtol,
-                      "atol": options.cg_atol}
         with trace_span("solver.cg"):
             solution, info = spla.cg(self._csc, rhs, maxiter=self._maxiter,
                                      M=self._preconditioner, callback=count,
-                                     **tolerances)
+                                     rtol=options.cg_rtol,
+                                     atol=options.cg_atol)
         self._solver._bump("cg_iterations", iterations)
         if info != 0:
             return self._fallback_lu().solve(rhs)
@@ -439,11 +444,13 @@ class IterativeSolver(LinearSolver):
         scale = np.max(np.abs(csc.data)) if csc.nnz else 0.0
         if scale == 0.0:
             return False
-        asymmetry = sp.csc_matrix(abs(csc - csc.T))
+        asymmetry = abs(csc - csc.T).tocsc()
         max_asymmetry = asymmetry.data.max() if asymmetry.nnz else 0.0
         return bool(max_asymmetry <= self._SYMMETRY_RTOL * scale)
 
     def _make_preconditioner(self, csc: sp.csc_matrix):
+        import scipy.sparse.linalg as spla
+
         name = self.options.preconditioner
         if name == "none":
             return True, None
@@ -541,19 +548,13 @@ _BACKEND_CLASSES: dict[str, type[LinearSolver]] = {
 }
 
 
-def register_backend(name: str, cls: type[LinearSolver]) -> None:
-    """Register a backend class under its :data:`BACKENDS` name.
-
-    Backends living outside this module (the geometric-multigrid solver)
-    self-register at import time; the package ``__init__`` imports them after
-    this module, so :func:`make_solver` always sees the full registry.
-    """
-    _BACKEND_CLASSES[name] = cls
-
-
 def make_solver(options: SolverOptions | None = None) -> LinearSolver:
     """Instantiate the backend selected by ``options.backend``."""
     options = options or SolverOptions()
+    if options.backend == BACKEND_MULTIGRID:
+        from .multigrid import MultigridSolver
+
+        return MultigridSolver(options)
     return _BACKEND_CLASSES[options.backend](options)
 
 

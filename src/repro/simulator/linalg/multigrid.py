@@ -39,21 +39,18 @@ to MG-preconditioned CG and then to LU — every rung counted in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from ...errors import SimulationError
 from ...obs import get_logger, trace_span
 from ..solver import _check_finite
-from .backends import (
-    _CG_RTOL_KEYWORD,
-    IterativeSolver,
-    _canonical_csc,
-    register_backend,
-)
+from .backends import IterativeSolver, _canonical_csc
 from .options import BACKEND_MULTIGRID
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 logger = get_logger(__name__)
 
@@ -94,6 +91,8 @@ def prolongation_1d(n: int) -> sp.csr_matrix:
     at the domain boundary the neighbour weight folds into the parent
     (constant extrapolation), which preserves the row sum of 1.
     """
+    import scipy.sparse as sp
+
     nc = (n + 1) // 2
     rows: list[int] = []
     cols: list[int] = []
@@ -222,7 +221,7 @@ class _Colour:
         # entries the tridiagonals T_i already represent (same lateral cell,
         # |dz| <= 1): the exact line solve is x_i <- T_i^{-1} (b_i - B x) in
         # one short matvec, with no separate residual pass.
-        offline = sp.coo_matrix(matrix[self.rows])
+        offline = matrix[self.rows].tocoo()
         row_lateral = self.rows[offline.row] % nxy
         row_z = self.rows[offline.row] // nxy
         in_line = ((offline.col % nxy == row_lateral)
@@ -272,6 +271,9 @@ def build_hierarchy(matrix: sp.spmatrix, grid: GridGeometry,
     until the system has at most ``coarsest_size`` nodes or a lateral
     direction drops below 4 cells; the last level holds a direct LU.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     levels: list[_Level] = []
     current = sp.csr_matrix(matrix)
     current.sort_indices()
@@ -317,7 +319,7 @@ class _MgFactorization:
         self._levels = levels
         self._csc = csc
         #: float64 fine operator for outer residuals (cycles run in float32)
-        self._fine = sp.csr_matrix(csc)
+        self._fine = csc.tocsr()
         self._structure = structure
         self._fallback = None
         self.residual_history: list[float] = []
@@ -389,6 +391,8 @@ class _MgFactorization:
 
     def _pcg_column(self, rhs: np.ndarray, x0: np.ndarray | None):
         """CG on one column with one V-cycle as the preconditioner."""
+        import scipy.sparse.linalg as spla
+
         options = self._solver.options
 
         def apply_cycle(vector: np.ndarray) -> np.ndarray:
@@ -403,13 +407,11 @@ class _MgFactorization:
             nonlocal iterations
             iterations += 1
 
-        tolerances = {_CG_RTOL_KEYWORD: options.mg_rtol,
-                      "atol": options.cg_atol}
         solution, info = spla.cg(self._fine, rhs, x0=x0,
                                  maxiter=options.cg_max_iterations
                                  or self.shape[0],
                                  M=preconditioner, callback=count,
-                                 **tolerances)
+                                 rtol=options.mg_rtol, atol=options.cg_atol)
         self._solver._bump("cg_iterations", iterations)
         return solution, info
 
@@ -543,6 +545,3 @@ class MultigridSolver(IterativeSolver):
             return super().factorize(csc, structure=structure)
         self._bump("factorizations")
         return _MgFactorization(self, levels, csc, structure)
-
-
-register_backend(BACKEND_MULTIGRID, MultigridSolver)

@@ -24,14 +24,17 @@ values they need (DC levels, AC phasors, transient samples) and solve.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..errors import SimulationError
 from ..netlist.circuit import Circuit
 from ..netlist.stamping import GROUND, Stamper
 from . import solver as _solver
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -100,6 +103,8 @@ class TripletAccumulator:
         self.vals.append(value)
 
     def matrix(self) -> sp.csr_matrix:
+        import scipy.sparse as sp
+
         if not self.vals:
             return sp.csr_matrix(self.shape, dtype=float)
         matrix = sp.coo_matrix((self.vals, (self.rows, self.cols)),

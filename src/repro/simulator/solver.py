@@ -25,6 +25,9 @@ and "here is the solution vector":
 * :func:`add_gmin_diagonal` — the vectorized "gmin from every node to
   ground" regularisation shared by the DC, AC and transient analyses.
 
+scipy is imported inside the sparse paths only: a process whose circuits all
+take the dense path never loads it.
+
 A module-level :data:`stats` counter records factorizations and solves so
 tests (and benchmarks) can assert the caching behaviour — e.g. that a linear
 transient performs exactly one factorization regardless of step count.
@@ -33,13 +36,15 @@ transient performs exactly one factorization regardless of step count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from ..errors import SimulationError
 from ..obs import trace_span
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass
@@ -136,11 +141,11 @@ def _singular_hint(matrix, structure=None, limit: int = 3) -> str:
     ``matrix`` is sparse, a dense array, or a dense ``(F, n, n)`` stack (a row
     counts as empty when it is empty in any matrix of the stack).
     """
-    if sp.issparse(matrix):
-        row_abs_sum = np.asarray(abs(sp.csr_matrix(matrix)).sum(axis=1)).ravel()
-    else:
+    if isinstance(matrix, np.ndarray):
         row_abs_sum = np.abs(np.asarray(matrix)).sum(axis=-1)
         row_abs_sum = row_abs_sum.reshape(-1, row_abs_sum.shape[-1]).min(axis=0)
+    else:
+        row_abs_sum = np.asarray(abs(matrix.tocsr()).sum(axis=1)).ravel()
     bad = np.flatnonzero(row_abs_sum == 0.0)
     if bad.size == 0:
         return ""
@@ -200,6 +205,9 @@ class Factorization:
 
     def __init__(self, matrix: sp.spmatrix, structure=None,
                  sinks: tuple[SolverStats, ...] | None = None):
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+
         if matrix.shape[0] != matrix.shape[1]:
             raise SimulationError("MNA matrix must be square")
         self.shape = matrix.shape
@@ -284,6 +292,8 @@ def gmin_diagonal(size: int, n_nodes: int,
     """
     if gmin <= 0.0 or n_nodes <= 0:
         return None
+    import scipy.sparse as sp
+
     diagonal = np.zeros(size)
     diagonal[:n_nodes] = gmin
     return sp.diags(diagonal, format="csr")
@@ -303,6 +313,8 @@ def add_gmin_diagonal(matrix: sp.spmatrix | np.ndarray, n_nodes: int,
             nodes = np.arange(n_nodes)
             matrix[nodes, nodes] += gmin
         return matrix
+    import scipy.sparse as sp
+
     base = matrix if sp.issparse(matrix) and matrix.format == "csr" \
         else sp.csr_matrix(matrix)
     diagonal = gmin_diagonal(matrix.shape[0], n_nodes, gmin)
@@ -321,6 +333,8 @@ class SharedPatternPair:
     """
 
     def __init__(self, g_matrix: sp.spmatrix, c_matrix: sp.spmatrix):
+        import scipy.sparse as sp
+
         if g_matrix.shape != c_matrix.shape:
             raise SimulationError("G and C must have the same shape")
         g = self._canonical(g_matrix)
@@ -341,7 +355,7 @@ class SharedPatternPair:
 
     @staticmethod
     def _canonical(matrix: sp.spmatrix) -> sp.csc_matrix:
-        csc = sp.csc_matrix(matrix).copy()
+        csc = matrix.tocsc(copy=True)
         csc.sum_duplicates()
         csc.eliminate_zeros()
         csc.sort_indices()

@@ -43,92 +43,24 @@ Quickstart (see ``examples/spur_campaign.py`` for the narrated version)::
     print(result.summary(), result.worst_spur().row())
 """
 
-from ..errors import CampaignError, CornerFailure, TaskTimeoutError
-from .backends import (
-    ON_ERROR_ABORT,
-    ON_ERROR_POLICIES,
-    ON_ERROR_RETRY_THEN_SKIP,
-    ON_ERROR_SKIP,
-    ProcessPoolBackend,
-    SerialBackend,
-    SweepBackend,
-    TaskFailure,
-)
-from .cache import CacheStats, ExtractionCache, extraction_key, fingerprint
-from .faults import (
-    FaultPlan,
-    FaultSpec,
-    InjectedFault,
-    arm_crash_points,
-    crashpoint,
-    disarm_crash_points,
-    fault_region,
-)
-from .params import (
-    AXIS_INJECTED_POWER,
-    AXIS_NOISE_FREQUENCY,
-    AXIS_VTUNE,
-    Campaign,
-    LayoutVariant,
-    ParamSpace,
-)
-from .persist import (
-    CampaignJournal,
-    CheckpointPolicy,
-    journal_path_for,
-    load_result,
-    save_result,
-)
-from .results import PointRecord, SweepResult, VariantRecord
-from .runner import SweepRunner, SweepTask
-from .store import (
-    CacheCorruptionWarning,
-    DiskCacheStats,
-    DiskExtractionCache,
-    ExtractionLease,
-)
+from .._lazy import attach
 
-__all__ = [
-    "AXIS_INJECTED_POWER",
-    "AXIS_NOISE_FREQUENCY",
-    "AXIS_VTUNE",
-    "CacheCorruptionWarning",
-    "CacheStats",
-    "Campaign",
-    "CampaignError",
-    "CampaignJournal",
-    "CheckpointPolicy",
-    "CornerFailure",
-    "DiskCacheStats",
-    "DiskExtractionCache",
-    "ExtractionCache",
-    "ExtractionLease",
-    "FaultPlan",
-    "FaultSpec",
-    "InjectedFault",
-    "arm_crash_points",
-    "crashpoint",
-    "disarm_crash_points",
-    "fault_region",
-    "LayoutVariant",
-    "ON_ERROR_ABORT",
-    "ON_ERROR_POLICIES",
-    "ON_ERROR_RETRY_THEN_SKIP",
-    "ON_ERROR_SKIP",
-    "ParamSpace",
-    "PointRecord",
-    "ProcessPoolBackend",
-    "SerialBackend",
-    "SweepBackend",
-    "SweepResult",
-    "SweepRunner",
-    "SweepTask",
-    "TaskFailure",
-    "TaskTimeoutError",
-    "VariantRecord",
-    "extraction_key",
-    "fingerprint",
-    "journal_path_for",
-    "load_result",
-    "save_result",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "..errors": ("CampaignError", "CornerFailure", "TaskTimeoutError"),
+    ".backends": ("ON_ERROR_ABORT", "ON_ERROR_POLICIES",
+                  "ON_ERROR_RETRY_THEN_SKIP", "ON_ERROR_SKIP",
+                  "ProcessPoolBackend", "SerialBackend", "SweepBackend",
+                  "TaskFailure"),
+    ".cache": ("CacheStats", "ExtractionCache", "extraction_key",
+               "fingerprint"),
+    ".faults": ("FaultPlan", "FaultSpec", "InjectedFault", "arm_crash_points",
+                "crashpoint", "disarm_crash_points", "fault_region"),
+    ".params": ("AXIS_INJECTED_POWER", "AXIS_NOISE_FREQUENCY", "AXIS_VTUNE",
+                "Campaign", "LayoutVariant", "ParamSpace"),
+    ".persist": ("CampaignJournal", "CheckpointPolicy", "journal_path_for",
+                 "load_result", "save_result"),
+    ".results": ("PointRecord", "SweepResult", "VariantRecord"),
+    ".runner": ("SweepRunner", "SweepTask"),
+    ".store": ("CacheCorruptionWarning", "DiskCacheStats",
+               "DiskExtractionCache", "ExtractionLease"),
+})

@@ -1,26 +1,11 @@
 """Substrate extraction: box-integration mesh, Kron reduction, port macromodel."""
 
-from .mesh import LayeredLaplacian, MeshSpec, SubstrateMesh
-from .reduction import SubstrateMacromodel, kron_reduce
-from .extraction import (
-    PortKind,
-    SubstrateExtraction,
-    SubstrateExtractionOptions,
-    SubstratePort,
-    extract_substrate,
-    identify_ports,
-)
+from .._lazy import attach
 
-__all__ = [
-    "LayeredLaplacian",
-    "MeshSpec",
-    "PortKind",
-    "SubstrateExtraction",
-    "SubstrateExtractionOptions",
-    "SubstrateMacromodel",
-    "SubstrateMesh",
-    "SubstratePort",
-    "extract_substrate",
-    "identify_ports",
-    "kron_reduce",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    ".mesh": ("LayeredLaplacian", "MeshSpec", "SubstrateMesh"),
+    ".reduction": ("SubstrateMacromodel", "kron_reduce"),
+    ".extraction": ("PortKind", "SubstrateExtraction",
+                    "SubstrateExtractionOptions", "SubstratePort",
+                    "extract_substrate", "identify_ports"),
+})

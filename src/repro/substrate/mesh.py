@@ -22,14 +22,17 @@ later reduced to a compact macromodel by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..errors import ExtractionError
 from ..layout.geometry import Rect
 from ..obs import trace_span
 from ..technology.process import SubstrateProfile
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -238,6 +241,8 @@ class LayeredLaplacian:
             return self._matrix()
 
     def _matrix(self) -> sp.csr_matrix:
+        import scipy.sparse as sp
+
         nx, ny, nz = self.nx, self.ny, self.nz
         dx, dy, dz, sigma = self.dx, self.dy, self.dz, self.sigma
 

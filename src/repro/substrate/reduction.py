@@ -21,20 +21,20 @@ impact netlist.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..errors import ExtractionError, SimulationError
 from ..netlist.circuit import Circuit
 from ..obs import get_logger, trace_span
-from ..simulator.linalg import (
-    GridGeometry,
-    LinearSolver,
-    SolverOptions,
-    resolve_solver,
-)
+from ..simulator.linalg import resolve_solver
 from .mesh import LayeredLaplacian
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+
+    from ..simulator.linalg import LinearSolver, SolverOptions
 
 logger = get_logger(__name__)
 
@@ -239,6 +239,8 @@ def kron_reduce(conductance: "sp.spmatrix | LayeredLaplacian",
             method = "mesh-solve"
             if layered:
                 if grid is None:
+                    from ..simulator.linalg import GridGeometry
+
                     grid = GridGeometry(nx=conductance.nx, ny=conductance.ny,
                                         nz=conductance.nz)
                 conductance = conductance.matrix()
@@ -303,6 +305,8 @@ def _mesh_solve(conductance, nodes, ports, shares, n_ports, solver, grid):
     # Regularise the internal block minimally: the floating mesh Laplacian is
     # singular only together with the port rows, and after connecting ports it
     # is non-singular; a tiny diagonal shift guards against round-off.
+    import scipy.sparse as sp
+
     y_ii = (sp.csc_matrix(conductance)
             + sp.diags(internal_diagonal + 1e-12, format="csc"))
     try:

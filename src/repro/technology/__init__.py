@@ -1,31 +1,11 @@
 """Process-technology description: layers, substrate profile, device cards."""
 
-from .layers import Layer, LayerPurpose, LayerStack, ViaDefinition
-from .process import (
-    EPSILON_0,
-    EPSILON_R_SI,
-    EPSILON_R_SIO2,
-    MosParameters,
-    ProcessTechnology,
-    SubstrateLayer,
-    SubstrateProfile,
-    WellParameters,
-)
-from .cmos018 import TECHNOLOGY_NAME, make_technology
+from .._lazy import attach
 
-__all__ = [
-    "EPSILON_0",
-    "EPSILON_R_SI",
-    "EPSILON_R_SIO2",
-    "Layer",
-    "LayerPurpose",
-    "LayerStack",
-    "MosParameters",
-    "ProcessTechnology",
-    "SubstrateLayer",
-    "SubstrateProfile",
-    "TECHNOLOGY_NAME",
-    "ViaDefinition",
-    "WellParameters",
-    "make_technology",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    ".layers": ("Layer", "LayerPurpose", "LayerStack", "ViaDefinition"),
+    ".process": ("EPSILON_0", "EPSILON_R_SI", "EPSILON_R_SIO2",
+                 "MosParameters", "ProcessTechnology", "SubstrateLayer",
+                 "SubstrateProfile", "WellParameters"),
+    ".cmos018": ("TECHNOLOGY_NAME", "make_technology"),
+})

@@ -1,35 +1,14 @@
 """LC-tank VCO modelling: tuning, sensitivities and substrate-noise spurs."""
 
-from .lctank import LcTankVco, VcoDesign
-from .sensitivity import (
-    ENTRY_GROUND,
-    ENTRY_INDUCTOR,
-    ENTRY_NMOS,
-    ENTRY_PMOS_WELL,
-    ENTRY_VARACTOR_WELL,
-    EntryModel,
-    VcoEntryCatalog,
-    build_entry_catalog,
-    entries_at_frequency,
-    junction_capacitance_sensitivity,
-)
-from .spurs import NoiseEntry, SpurResult, compute_spurs, synthesize_output_waveform
+from .._lazy import attach
 
-__all__ = [
-    "ENTRY_GROUND",
-    "ENTRY_INDUCTOR",
-    "ENTRY_NMOS",
-    "ENTRY_PMOS_WELL",
-    "ENTRY_VARACTOR_WELL",
-    "EntryModel",
-    "LcTankVco",
-    "NoiseEntry",
-    "SpurResult",
-    "VcoDesign",
-    "VcoEntryCatalog",
-    "build_entry_catalog",
-    "compute_spurs",
-    "entries_at_frequency",
-    "junction_capacitance_sensitivity",
-    "synthesize_output_waveform",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    ".lctank": ("LcTankVco", "VcoDesign"),
+    ".sensitivity": ("ENTRY_GROUND", "ENTRY_INDUCTOR", "ENTRY_NMOS",
+                     "ENTRY_PMOS_WELL", "ENTRY_VARACTOR_WELL", "EntryModel",
+                     "VcoEntryCatalog", "build_entry_catalog",
+                     "entries_at_frequency",
+                     "junction_capacitance_sensitivity"),
+    ".spurs": ("NoiseEntry", "SpurResult", "compute_spurs",
+               "synthesize_output_waveform"),
+})

@@ -8,6 +8,13 @@ calibrated default resolution to regenerate the paper's figures.
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -69,3 +76,26 @@ def vco_analysis(technology, coarse_flow_options):
                                 np.logspace(np.log10(3e5), np.log10(15e6), 5)),
         flow=coarse_flow_options)
     return VcoImpactAnalysis(technology, options=options)
+
+
+@pytest.fixture(scope="session")
+def run_fresh():
+    """Run Python code in a new interpreter that imports ``repro`` from
+    ``src``; returns the JSON printed on its last stdout line.
+
+    For checks of what a process imports: this test session has long since
+    imported scipy and every ``repro`` module.
+    """
+    src = str(Path(__file__).resolve().parent.parent / "src")
+
+    def run(code: str, cwd: Path | None = None):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                              cwd=cwd, env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.strip().splitlines()[-1])
+
+    return run
