@@ -17,7 +17,6 @@ bookkeeping).
 
 from __future__ import annotations
 
-import copy
 import time
 from dataclasses import dataclass, field
 
@@ -27,8 +26,7 @@ from ..interconnect.extraction import InterconnectExtraction, extract_interconne
 from ..layout.cell import Cell
 from ..obs import trace_span
 from ..package.model import PackageModel
-from ..simulator.linalg import SolverOptions, resolve_solver
-from ..simulator.solver import SolverStats
+from ..simulator.linalg import SolverOptions
 from ..substrate.extraction import (
     SubstrateExtraction,
     SubstrateExtractionOptions,
@@ -46,9 +44,9 @@ class FlowOptions:
     #: node receiving the interconnect wire-to-substrate capacitances
     #: (``None`` = the first TAP port's net, i.e. the local ground ring).
     substrate_cap_reference: str | None = None
-    #: linear-solver backend configuration.  Part of the studies
-    #: extraction-cache key: flows solved by different backends / tolerances
-    #: never share a cached extraction.
+    #: the ``[solver]`` table.  Part of the studies extraction-cache key:
+    #: flows configured with different backends never share a cached
+    #: extraction.
     solver: SolverOptions = field(default_factory=SolverOptions)
 
 
@@ -98,13 +96,10 @@ class FlowResult:
     devices: ExtractedCircuit
     impact: ImpactNetlist
     timings: FlowTimings
-    #: solver counters of the extraction's mesh solve (backend, CG traffic);
-    #: all zero when the Kron reduction ran in contact space
-    solver_stats: SolverStats | None = None
 
     def summary(self) -> dict[str, int | float | str]:
         """Headline numbers for logging / reports."""
-        summary: dict[str, int | float | str] = {
+        return {
             "cell": self.cell.name,
             "substrate_ports": len(self.substrate.ports),
             "substrate_mesh_nodes": self.substrate.mesh_nodes,
@@ -114,9 +109,6 @@ class FlowResult:
             "impact_netlist_nodes": len(self.impact.circuit.nodes()),
             "extraction_seconds": round(self.timings.total_extraction, 3),
         }
-        if self.solver_stats is not None:
-            summary["solver_backend"] = self.solver_stats.backend
-        return summary
 
 
 def run_extraction_flow(cell: Cell, technology: ProcessTechnology,
@@ -125,13 +117,11 @@ def run_extraction_flow(cell: Cell, technology: ProcessTechnology,
     """Run the paper's extraction flow on a layout cell."""
     options = options or FlowOptions()
     timings = FlowTimings()
-    solver = resolve_solver(options.solver)
 
     with trace_span("flow.run", cell=cell.name):
         start = time.perf_counter()
         with trace_span("flow.substrate_extraction"):
-            substrate = extract_substrate(cell, technology, options.substrate,
-                                          solver=solver)
+            substrate = extract_substrate(cell, technology, options.substrate)
         timings.substrate_extraction = time.perf_counter() - start
         timings.mesh_assembly = substrate.timings.get("mesh_assembly", 0.0)
         timings.kron_reduction = substrate.timings.get("kron_reduction", 0.0)
@@ -155,5 +145,4 @@ def run_extraction_flow(cell: Cell, technology: ProcessTechnology,
 
     return FlowResult(cell=cell, technology=technology, substrate=substrate,
                       interconnect=interconnect, devices=devices,
-                      impact=impact, timings=timings,
-                      solver_stats=copy.copy(solver.stats))
+                      impact=impact, timings=timings)

@@ -58,7 +58,6 @@ from ..layout.testchips import (
 )
 from ..package.model import PackageModel
 from ..simulator.dc import DcSolution, dc_operating_point
-from ..simulator.linalg import resolve_solver
 from ..simulator.transfer import TransferFunction, transfer_function
 from ..technology.process import ProcessTechnology
 from ..vco.lctank import LcTankVco, VcoDesign
@@ -136,10 +135,6 @@ class VcoImpactAnalysis:
                                               options=self.options.flow)
         self.flow = flow_result
         self._operating_points: dict[float, DcSolution] = {}
-        # One solver instance for every analysis of this object: the
-        # reuse-pattern backend then shares its symbolic analysis across
-        # V_tune points and noise frequencies (same testbench structure).
-        self.solver = resolve_solver(self.options.flow.solver)
         self._noise = SinusoidalNoise(
             power_dbm=self.options.injected_power_dbm, frequency=1e6,
             impedance=self.options.source_impedance)
@@ -285,7 +280,7 @@ class VcoImpactAnalysis:
         # (the Newton solve) — the part of a corner that is not the AC sweep.
         with trace_span("sim.setup", vtune=vtune):
             circuit = self.build_testbench(vtune)
-            operating_point = dc_operating_point(circuit, solver=self.solver)
+            operating_point = dc_operating_point(circuit)
             self._operating_points[vtune] = operating_point
 
             vco = self.vco_model(operating_point)
@@ -295,8 +290,7 @@ class VcoImpactAnalysis:
             transfer = transfer_function(circuit, "VSUB_SRC",
                                          catalog.observation_nodes(),
                                          noise_frequencies,
-                                         operating_point=operating_point,
-                                         solver=self.solver)
+                                         operating_point=operating_point)
         carrier_frequency = vco.oscillation_frequency(vtune)
         carrier_amplitude = vco.amplitude(vtune)
         noise_amplitude = self._noise.amplitude

@@ -9,7 +9,7 @@ instrumented with :func:`trace_span`::
 
 When tracing is disabled (the default), ``trace_span`` returns a shared
 no-op context manager without allocating anything — the cost is one
-attribute check per call, so hot paths (every ``LinearSolver.solve``) can
+attribute check per call, so hot paths (every ``Factorization.solve``) can
 stay instrumented unconditionally.
 
 Spans cross process boundaries by value: the parent process captures a

@@ -1,8 +1,8 @@
 """MNA circuit simulator: DC, AC, transfer-function and transient analyses.
 
 Systems of up to ``solver.DENSE_MAX_UNKNOWNS`` (64) unknowns solve densely with
-LAPACK; larger ones, and transient analysis, go through the sparse backends
-of :mod:`repro.simulator.linalg`.
+LAPACK; larger ones, and transient analysis, go through SuperLU
+(:mod:`repro.simulator.solver`).
 """
 
 from .._lazy import attach
@@ -13,9 +13,7 @@ __getattr__, __dir__, __all__ = attach(__name__, {
     ".solver": ("Factorization", "SharedPatternPair", "SolverStats",
                 "add_gmin_diagonal", "factorize", "gmin_diagonal",
                 "stats as solver_stats"),
-    ".linalg": ("DirectLUSolver", "IterativeSolver", "LinearSolver",
-                "ReusePatternLUSolver", "SolverOptions", "make_solver",
-                "resolve_solver"),
+    ".linalg": ("SolverOptions",),
     ".dc": ("DcOptions", "DcSolution", "dc_operating_point"),
     ".ac": ("AcSolution", "ac_analysis"),
     ".transfer": ("TransferFunction", "substituted_sources",

@@ -19,9 +19,14 @@ from ..errors import SimulationError
 from ..netlist.circuit import Circuit
 from ..netlist.elements import CurrentSource, VoltageSource
 from .dc import DcOptions, DcSolution, dc_operating_point
-from .linalg import LinearSolver, SolverOptions, resolve_solver
 from .mna import MnaStructure, SolutionView, stamp_linear_elements
-from .solver import SharedPatternPair, add_gmin_diagonal, is_dense
+from .solver import (
+    Factorization,
+    SharedPatternPair,
+    add_gmin_diagonal,
+    dense_solve,
+    is_dense,
+)
 
 
 #: Largest ``(F, n, n)`` complex stack one dense sweep batch may allocate.
@@ -98,8 +103,8 @@ def _ac_rhs(circuit: Circuit, structure: MnaStructure) -> np.ndarray:
 
 
 def solve_frequency_sweep(g_matrix, c_matrix, frequencies: np.ndarray,
-                          rhs: np.ndarray, solver: LinearSolver,
-                          structure: MnaStructure, gmin: float) -> np.ndarray:
+                          rhs: np.ndarray, structure: MnaStructure,
+                          gmin: float) -> np.ndarray:
     """Solve ``(G + gmin + j*2*pi*f*C) x = rhs`` at every frequency.
 
     ``gmin`` is added from every node to ground (it keeps otherwise-floating
@@ -110,9 +115,9 @@ def solve_frequency_sweep(g_matrix, c_matrix, frequencies: np.ndarray,
     solved as one ``(F, n, n)`` LAPACK batch built in place in a single
     complex buffer (split into several batches only when it would exceed
     :data:`DENSE_STACK_BYTES`); larger ones are assembled per point on a
-    :class:`SharedPatternPair`, factorized through the ``solver`` backend
-    and solved for the whole ``rhs`` block.  Either way each frequency
-    counts one factorization and one solve.
+    :class:`SharedPatternPair`, factorized with SuperLU and solved for the
+    whole ``rhs`` block.  Either way each frequency counts one factorization
+    and one solve.
     """
     g_matrix = add_gmin_diagonal(g_matrix, structure.n_nodes, gmin)
     if is_dense(structure.size):
@@ -122,31 +127,26 @@ def solve_frequency_sweep(g_matrix, c_matrix, frequencies: np.ndarray,
         for start in range(0, frequencies.size, step):
             stack = np.multiply.outer(s_points[start:start + step], c_matrix)
             stack += g_matrix
-            batches.append(solver.solve_dense(stack, rhs, structure=structure))
+            batches.append(dense_solve(stack, rhs, structure=structure))
         return batches[0] if len(batches) == 1 else np.concatenate(batches)
     pattern = SharedPatternPair(g_matrix, c_matrix)
     out = np.zeros((frequencies.size,) + rhs.shape, dtype=complex)
     for index, frequency in enumerate(frequencies):
         matrix = pattern.assemble(2j * np.pi * frequency)
-        out[index] = solver.factorize(matrix, structure=structure).solve(rhs)
+        out[index] = Factorization(matrix, structure=structure).solve(rhs)
     return out
 
 
 def ac_analysis(circuit: Circuit, frequencies: np.ndarray | list[float],
                 operating_point: DcSolution | None = None,
                 dc_options: DcOptions | None = None,
-                gmin: float = 1e-12,
-                solver: SolverOptions | LinearSolver | None = None
-                ) -> AcSolution:
+                gmin: float = 1e-12) -> AcSolution:
     """Run an AC sweep over ``frequencies`` (hertz).
 
     If the circuit contains nonlinear devices and no ``operating_point`` is
-    supplied, a DC operating point is solved first.  ``solver`` selects the
-    linear-solver backend for circuits too large for the dense batch (see
-    :func:`solve_frequency_sweep`).
+    supplied, a DC operating point is solved first.
     """
     circuit.validate()
-    solver = resolve_solver(solver)
     frequencies = np.asarray(list(frequencies), dtype=float)
     if frequencies.size == 0:
         raise SimulationError("AC analysis needs at least one frequency point")
@@ -155,13 +155,11 @@ def ac_analysis(circuit: Circuit, frequencies: np.ndarray | list[float],
 
     structure = MnaStructure.from_circuit(circuit)
     if operating_point is None and circuit.nonlinear_elements():
-        operating_point = dc_operating_point(circuit, dc_options,
-                                             solver=solver)
+        operating_point = dc_operating_point(circuit, dc_options)
 
     g_matrix, c_matrix = _small_signal_matrices(circuit, structure, operating_point)
     vectors = solve_frequency_sweep(g_matrix, c_matrix, frequencies,
-                                    _ac_rhs(circuit, structure), solver,
-                                    structure,
-                                    solver.options.effective_gmin(gmin))
+                                    _ac_rhs(circuit, structure), structure,
+                                    gmin)
     return AcSolution(circuit=circuit, structure=structure,
                       frequencies=frequencies, vectors=vectors)

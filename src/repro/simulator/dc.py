@@ -35,9 +35,15 @@ from ..errors import ConvergenceError
 from ..netlist.circuit import Circuit
 from ..netlist.devices import NonlinearElement
 from ..netlist.elements import CurrentSource, VoltageSource
-from .linalg import LinearSolver, SolverOptions, resolve_solver
 from .mna import MatrixStamper, MnaStructure, SolutionView, stamp_linear_elements
-from .solver import add_gmin_diagonal, gmin_diagonal, is_dense
+from .solver import (
+    add_gmin_diagonal,
+    dense_solve,
+    gmin_diagonal,
+    is_dense,
+    solve_sparse,
+    stats,
+)
 
 
 @dataclass
@@ -104,16 +110,15 @@ def _fill_source_rhs(stamper: MatrixStamper, circuit: Circuit,
 
 def _newton_solve(circuit: Circuit, structure: MnaStructure,
                   linear: MatrixStamper, options: DcOptions,
-                  initial: np.ndarray, source_scale: float,
-                  solver: LinearSolver, gmin: float,
+                  initial: np.ndarray, source_scale: float, gmin: float,
                   linear_dense: np.ndarray | None) -> tuple[np.ndarray, int]:
     """Newton iteration at a fixed source scaling; returns (solution, iterations).
 
     With ``linear_dense`` (the linear elements' ``G`` as a dense array, for
     circuits of at most :data:`~repro.simulator.solver.DENSE_MAX_UNKNOWNS`
     unknowns) each iteration stamps its Jacobian straight into a copy of it
-    and solves with LAPACK; otherwise the sparse Jacobian goes through the
-    ``solver`` backend.
+    and solves with LAPACK; otherwise the sparse Jacobian is solved with
+    SuperLU.
     """
     x = initial.copy()
     nonlinear = circuit.nonlinear_elements()
@@ -135,13 +140,12 @@ def _newton_solve(circuit: Circuit, structure: MnaStructure,
         matrix = stamper.conductance_matrix()
         if linear_dense is not None:
             add_gmin_diagonal(matrix, n_nodes, gmin)
-            x_new = solver.solve_dense(matrix, stamper.rhs,
-                                       structure=structure,
-                                       factorizations=False)
+            x_new = dense_solve(matrix, stamper.rhs, structure=structure,
+                                factorizations=False)
         else:
             if gmin_diag is not None:
                 matrix = matrix + gmin_diag
-            x_new = solver.solve(matrix, stamper.rhs, structure=structure)
+            x_new = solve_sparse(matrix, stamper.rhs, structure=structure)
         delta = x_new - x
         x = x + options.damping * delta
         max_delta = float(np.max(np.abs(delta[:n_nodes]))) if n_nodes else 0.0
@@ -170,9 +174,8 @@ def _gmin_ladder(start: float, target: float, steps: int) -> list[float]:
     return [float(g) for g in np.geomspace(start, floor, steps + 1)[:-1]]
 
 
-def dc_operating_point(circuit: Circuit, options: DcOptions | None = None,
-                       solver: SolverOptions | LinearSolver | None = None
-                       ) -> DcSolution:
+def dc_operating_point(circuit: Circuit,
+                       options: DcOptions | None = None) -> DcSolution:
     """Solve the DC operating point of ``circuit``.
 
     Linear circuits converge in a single iteration.  For nonlinear circuits,
@@ -181,26 +184,22 @@ def dc_operating_point(circuit: Circuit, options: DcOptions | None = None,
     down to the analysis gmin) and then source stepping
     (``options.source_steps`` ramp steps).  The winning strategy is recorded
     on the returned :class:`DcSolution` and the ladder rungs are counted
-    into the solver's :class:`~repro.simulator.solver.SolverStats`.
-    Circuits of at most :data:`~repro.simulator.solver.DENSE_MAX_UNKNOWNS`
-    unknowns stamp a dense Jacobian and solve it with LAPACK; above that,
-    ``solver`` selects the linear-solver backend (options or a shared
-    instance) — the reuse-pattern backend then refactorizes values only
-    across the Newton iterations, which all share one sparsity pattern.
+    into :data:`repro.simulator.solver.stats`.  Circuits of at most
+    :data:`~repro.simulator.solver.DENSE_MAX_UNKNOWNS` unknowns stamp a
+    dense Jacobian and solve it with LAPACK; larger ones use SuperLU.
     """
     options = options or DcOptions()
-    solver = resolve_solver(solver)
     circuit.validate()
     structure = MnaStructure.from_circuit(circuit)
     dense = is_dense(structure.size)
     linear = stamp_linear_elements(circuit, structure, dense=dense)
     initial = np.zeros(structure.size)
-    target_gmin = solver.options.effective_gmin(options.gmin)
+    target_gmin = options.gmin
     linear_dense = linear.conductance_matrix() if dense else None
 
     def newton(guess, scale, gmin):
         return _newton_solve(circuit, structure, linear, options, guess,
-                             source_scale=scale, solver=solver, gmin=gmin,
+                             source_scale=scale, gmin=gmin,
                              linear_dense=linear_dense)
 
     try:
@@ -224,7 +223,7 @@ def dc_operating_point(circuit: Circuit, options: DcOptions | None = None,
             for rung_gmin in ladder:
                 vector, iterations = newton(vector, 1.0, rung_gmin)
                 total_iterations += iterations
-                solver._bump("dc_gmin_steps")
+                stats.dc_gmin_steps += 1
             vector, iterations = newton(vector, 1.0, target_gmin)
             total_iterations += iterations
             return DcSolution(circuit=circuit, structure=structure,
@@ -242,7 +241,7 @@ def dc_operating_point(circuit: Circuit, options: DcOptions | None = None,
             scale = step / options.source_steps
             vector, iterations = newton(vector, scale, target_gmin)
             total_iterations += iterations
-            solver._bump("dc_source_steps")
+            stats.dc_source_steps += 1
         return DcSolution(circuit=circuit, structure=structure,
                           vector=vector, iterations=total_iterations,
                           strategy="source-stepping")

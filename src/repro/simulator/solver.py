@@ -51,63 +51,38 @@ if TYPE_CHECKING:
 class SolverStats:
     """Counters of the expensive solver operations (for tests / benchmarks).
 
-    Every :class:`~repro.simulator.linalg.LinearSolver` instance owns one of
-    these; :meth:`merge` folds one record into another (campaign workers
-    send theirs home by value).  ``backend`` names the solver
-    backend that produced the counts; the iterative backend additionally
-    records its CG traffic and direct-LU fallbacks.
+    The module-level :data:`stats` is the one instance the solves count
+    into; campaign runners read deltas of it around each run and task.
     """
 
-    factorizations: int = 0     #: numeric factorizations (LU or precond setup)
-    solves: int = 0             #: triangular / CG solve calls
-    pattern_reuses: int = 0     #: value-only refactorizations (reuse-lu)
-    cg_solves: int = 0          #: right-hand sides solved by CG
-    cg_iterations: int = 0      #: total CG iterations over all solves
-    mg_solves: int = 0          #: right-hand sides solved by multigrid
-    mg_cycles: int = 0          #: multigrid cycles (standalone + precond apply)
-    fallbacks: int = 0          #: iterative/multigrid requests degraded a rung
-    fallback_direct: int = 0    #: degradations that had to reach plain direct LU
+    factorizations: int = 0     #: numeric factorizations (LU, dense or sparse)
+    solves: int = 0             #: triangular / LAPACK solve calls
+    fallbacks: int = 0          #: layered-mesh Kron reductions that needed a mesh solve
     dc_gmin_steps: int = 0      #: gmin-continuation rungs taken by DC Newton
     dc_source_steps: int = 0    #: source-stepping rungs taken by DC Newton
-    backend: str = ""           #: backend name ("" for the module-level global)
 
-    _COUNTERS = ("factorizations", "solves", "pattern_reuses",
-                 "cg_solves", "cg_iterations", "mg_solves", "mg_cycles",
-                 "fallbacks", "fallback_direct",
+    _COUNTERS = ("factorizations", "solves", "fallbacks",
                  "dc_gmin_steps", "dc_source_steps")
 
     #: The subset of counters that record *graceful degradation* — a solve or
-    #: analysis that only succeeded by stepping down the robustness ladder
-    #: (iterative -> reuse-LU -> direct, plain Newton -> gmin stepping ->
-    #: source stepping).  Campaign runners snapshot these around each task and
-    #: surface non-zero deltas in result sidecars.
-    DEGRADATION_COUNTERS = ("fallbacks", "fallback_direct",
-                            "dc_gmin_steps", "dc_source_steps")
+    #: analysis that only succeeded by stepping down a robustness ladder
+    #: (contact-space -> mesh-solve Kron, plain Newton -> gmin stepping ->
+    #: source stepping).  Campaign runners snapshot these around each task
+    #: and surface non-zero deltas in result sidecars.
+    DEGRADATION_COUNTERS = ("fallbacks", "dc_gmin_steps", "dc_source_steps")
 
     def reset(self) -> None:
         for name in self._COUNTERS:
             setattr(self, name, 0)
 
-    def merge(self, other: "SolverStats") -> None:
-        """Fold a worker's counters into this instance (``backend`` is kept)."""
-        for name in self._COUNTERS:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-
-    def as_dict(self) -> dict[str, int | str]:
-        record: dict[str, int | str] = {name: getattr(self, name)
-                                        for name in self._COUNTERS}
-        record["backend"] = self.backend
-        return record
-
 
 #: Global solver counters; ``stats.reset()`` before a run to measure it.
-#: Solver instances mirror their counts here.
 stats = SolverStats()
 
 #: Largest MNA system solved densely with LAPACK instead of sparse LU.  At
 #: or below it, DC Newton steps and whole AC / transfer sweeps (one
 #: ``(F, n, n)`` stack) go through :func:`dense_solve`; above it the sparse
-#: per-frequency path and the configured backend run.  The value sits at the
+#: per-frequency path runs on SuperLU.  The value sits at the
 #: measured crossover of a 60-point transfer sweep on resistor-grid circuits
 #: (2-CPU x86-64, OpenBLAS): dense is 2-3x faster up to ~50 unknowns, the
 #: two paths meet between ~60 and ~80, and sparse is 7x faster at 577.
@@ -118,7 +93,7 @@ def is_dense(size: int) -> bool:
     """Whether an MNA system of ``size`` unknowns takes the dense path.
 
     Reads :data:`DENSE_MAX_UNKNOWNS` at call time, so tests can lower it to
-    push a small circuit through the sparse backends.
+    push a small circuit through the sparse path.
     """
     return size <= DENSE_MAX_UNKNOWNS
 
@@ -164,7 +139,6 @@ def _check_finite(solution: np.ndarray, matrix,
 
 
 def dense_solve(matrices: np.ndarray, rhs: np.ndarray, structure=None,
-                sinks: tuple[SolverStats, ...] | None = None,
                 factorizations: bool = True) -> np.ndarray:
     """Solve ``matrices[k] @ x[k] = rhs`` with LAPACK for every matrix.
 
@@ -188,10 +162,9 @@ def dense_solve(matrices: np.ndarray, rhs: np.ndarray, structure=None,
         raise SimulationError(
             f"dense factorization failed: {exc}"
             + _singular_hint(matrices, structure)) from exc
-    for sink in (stats,) if sinks is None else sinks:
-        if factorizations:
-            sink.factorizations += count
-        sink.solves += count
+    if factorizations:
+        stats.factorizations += count
+    stats.solves += count
     return _check_finite(solution, matrices, structure)
 
 
@@ -204,7 +177,7 @@ class Factorization:
     """
 
     def __init__(self, matrix: sp.spmatrix, structure=None,
-                 sinks: tuple[SolverStats, ...] | None = None):
+                 counted: bool = True):
         import scipy.sparse as sp
         import scipy.sparse.linalg as spla
 
@@ -212,7 +185,7 @@ class Factorization:
             raise SimulationError("MNA matrix must be square")
         self.shape = matrix.shape
         self._structure = structure
-        self._sinks = (stats,) if sinks is None else tuple(sinks)
+        self._counted = counted
         self._matrix = sp.csc_matrix(matrix)
         self._complex = np.iscomplexobj(self._matrix.data)
         if self.shape[0] == 0:
@@ -228,8 +201,8 @@ class Factorization:
                 raise SimulationError(
                     f"sparse factorization failed: {exc}"
                     + _singular_hint(self._matrix, structure)) from exc
-        for sink in self._sinks:
-            sink.factorizations += 1
+        if counted:
+            stats.factorizations += 1
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``A x = rhs`` using the cached factorization."""
@@ -249,8 +222,8 @@ class Factorization:
                 if self._complex and not np.iscomplexobj(rhs):
                     rhs = rhs.astype(complex)
                 solution = self._lu.solve(np.ascontiguousarray(rhs))
-        for sink in self._sinks:
-            sink.solves += 1
+        if self._counted:
+            stats.solves += 1
         return _check_finite(solution, self._matrix, self._structure)
 
 
@@ -260,8 +233,7 @@ def factorize(matrix: sp.spmatrix, structure=None) -> Factorization:
 
 
 def solve_sparse(matrix: sp.spmatrix, rhs: np.ndarray,
-                 structure=None,
-                 sinks: tuple[SolverStats, ...] | None = None) -> np.ndarray:
+                 structure=None) -> np.ndarray:
     """One-shot sparse solve raising :class:`SimulationError` on failure.
 
     An exactly singular matrix fails the factorization with a
@@ -275,9 +247,9 @@ def solve_sparse(matrix: sp.spmatrix, rhs: np.ndarray,
         raise SimulationError("MNA matrix must be square")
     if matrix.shape[0] == 0:
         return np.zeros(0, dtype=rhs.dtype)
-    solution = Factorization(matrix, structure=structure, sinks=()).solve(rhs)
-    for sink in (stats,) if sinks is None else sinks:
-        sink.solves += 1
+    solution = Factorization(matrix, structure=structure,
+                             counted=False).solve(rhs)
+    stats.solves += 1
     return np.atleast_1d(solution)
 
 
@@ -285,10 +257,9 @@ def gmin_diagonal(size: int, n_nodes: int,
                   gmin: float) -> sp.csr_matrix | None:
     """The reusable ``gmin``-to-ground diagonal matrix, or ``None`` for a no-op.
 
-    Newton loops build this once and add it per iteration, so the
+    Sparse Newton loops build this once and add it per iteration, so the
     regularisation costs one CSR addition per solve instead of a format
-    conversion plus diagonal construction (which matters once the
-    reuse-pattern LU backend has made refactorizations cheap).
+    conversion plus diagonal construction.
     """
     if gmin <= 0.0 or n_nodes <= 0:
         return None

@@ -34,7 +34,6 @@ from ..errors import SimulationError
 from ..netlist.circuit import Circuit
 from ..netlist.elements import CurrentSource, SourceValue, VoltageSource
 from .dc import DcOptions, DcSolution, dc_operating_point
-from .linalg import LinearSolver, SolverOptions, resolve_solver
 from .mna import MnaStructure
 
 
@@ -103,17 +102,14 @@ def transfer_functions(circuit: Circuit, source_names: Sequence[str],
                        frequencies: np.ndarray | list[float],
                        operating_point: DcSolution | None = None,
                        dc_options: DcOptions | None = None,
-                       gmin: float = 1e-12,
-                       solver: SolverOptions | LinearSolver | None = None
-                       ) -> dict[str, TransferFunction]:
+                       gmin: float = 1e-12) -> dict[str, TransferFunction]:
     """Compute ``V(node)/source`` for every (source, node) combination.
 
     All sources are solved *batched*: every source's unit-drive right-hand
     side is one column of a single multi-RHS solve of ``(G + j*omega*C)``
     per frequency — one dense LAPACK batch over all frequencies for small
-    circuits, one sparse factorization per frequency through the ``solver``
-    backend above :data:`~repro.simulator.solver.DENSE_MAX_UNKNOWNS`
-    unknowns.  Returns a mapping
+    circuits, one SuperLU factorization per frequency above
+    :data:`~repro.simulator.solver.DENSE_MAX_UNKNOWNS` unknowns.  Returns a mapping
     ``source name -> TransferFunction`` (V/V for voltage sources,
     V/A for current sources).
     """
@@ -122,7 +118,6 @@ def transfer_functions(circuit: Circuit, source_names: Sequence[str],
     if not source_names:
         raise SimulationError("at least one source name is required")
     circuit.validate()
-    solver = resolve_solver(solver)
     frequencies = np.asarray(list(frequencies), dtype=float)
     if frequencies.size == 0:
         raise SimulationError("transfer analysis needs at least one frequency")
@@ -138,8 +133,7 @@ def transfer_functions(circuit: Circuit, source_names: Sequence[str],
 
     structure = MnaStructure.from_circuit(circuit)
     if operating_point is None and circuit.nonlinear_elements():
-        operating_point = dc_operating_point(circuit, dc_options,
-                                             solver=solver)
+        operating_point = dc_operating_point(circuit, dc_options)
 
     # The small-signal matrices depend on the operating point only, never on
     # the sources' AC values, so they are built once for all sources.
@@ -157,8 +151,7 @@ def transfer_functions(circuit: Circuit, source_names: Sequence[str],
             drive(name)
             rhs_block[:, column] = _ac_rhs(circuit, structure)
         vectors = solve_frequency_sweep(g_matrix, c_matrix, frequencies,
-                                        rhs_block, solver, structure,
-                                        solver.options.effective_gmin(gmin))
+                                        rhs_block, structure, gmin)
 
     results: dict[str, TransferFunction] = {}
     for column, name in enumerate(source_names):
@@ -178,9 +171,7 @@ def transfer_function(circuit: Circuit, source_name: str,
                       frequencies: np.ndarray | list[float],
                       operating_point: DcSolution | None = None,
                       dc_options: DcOptions | None = None,
-                      gmin: float = 1e-12,
-                      solver: SolverOptions | LinearSolver | None = None
-                      ) -> TransferFunction:
+                      gmin: float = 1e-12) -> TransferFunction:
     """Compute ``V(node)/source`` for each node in ``observe_nodes``.
 
     The drive is applied as a unit AC excitation on the named independent
@@ -193,5 +184,5 @@ def transfer_function(circuit: Circuit, source_name: str,
     """
     return transfer_functions(circuit, [source_name], observe_nodes,
                               frequencies, operating_point=operating_point,
-                              dc_options=dc_options, gmin=gmin,
-                              solver=solver)[source_name]
+                              dc_options=dc_options,
+                              gmin=gmin)[source_name]

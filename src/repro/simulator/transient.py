@@ -33,9 +33,8 @@ from ..errors import ConvergenceError, SimulationError
 from ..netlist.circuit import Circuit
 from ..netlist.elements import CurrentSource, VoltageSource
 from .dc import DcOptions, DcSolution, dc_operating_point
-from .linalg import LinearSolver, SolverOptions, resolve_solver
 from .mna import MatrixStamper, MnaStructure, stamp_linear_elements
-from .solver import add_gmin_diagonal
+from .solver import Factorization, add_gmin_diagonal, solve_sparse
 
 
 @dataclass
@@ -117,18 +116,14 @@ def _nonlinear_contributions(circuit: Circuit, structure: MnaStructure,
 def transient_analysis(circuit: Circuit, t_stop: float, timestep: float,
                        operating_point: DcSolution | None = None,
                        options: TransientOptions | None = None,
-                       dc_options: DcOptions | None = None,
-                       solver: SolverOptions | LinearSolver | None = None
+                       dc_options: DcOptions | None = None
                        ) -> TransientSolution:
     """Integrate the circuit from 0 to ``t_stop`` with a fixed ``timestep``.
 
     The initial condition is the DC operating point (sources at their DC/
-    time-zero values).  ``solver`` selects the linear-solver backend; the
-    reuse-pattern backend refactorizes values only across the Newton solves
-    of a nonlinear integration (every step shares one sparsity pattern).
+    time-zero values).
     """
     options = options or TransientOptions()
-    solver = resolve_solver(solver)
     circuit.validate()
     if t_stop <= 0 or timestep <= 0:
         raise SimulationError("t_stop and timestep must be positive")
@@ -138,13 +133,11 @@ def transient_analysis(circuit: Circuit, t_stop: float, timestep: float,
 
     structure = MnaStructure.from_circuit(circuit)
     if operating_point is None:
-        operating_point = dc_operating_point(circuit, dc_options,
-                                             solver=solver)
+        operating_point = dc_operating_point(circuit, dc_options)
 
     linear = stamp_linear_elements(circuit, structure)
     g_lin = add_gmin_diagonal(linear.conductance_matrix(),
-                              structure.n_nodes,
-                              solver.options.effective_gmin(options.gmin))
+                              structure.n_nodes, options.gmin)
     c_lin = linear.capacitance_matrix()
 
     # Freeze the reactive part of the nonlinear devices at the operating point.
@@ -180,7 +173,7 @@ def transient_analysis(circuit: Circuit, t_stop: float, timestep: float,
 
     if not nonlinear:
         # Constant LHS: factorize exactly once for the whole time grid.
-        lu = solver.factorize(lhs_matrix, structure=structure)
+        lu = Factorization(lhs_matrix, structure=structure)
         for step in range(1, n_steps + 1):
             rhs_total = history_matrix @ vectors[step - 1]
             if use_trap:
@@ -202,7 +195,7 @@ def transient_analysis(circuit: Circuit, t_stop: float, timestep: float,
                 companion = _nonlinear_contributions(circuit, structure, x)
                 matrix = (lhs_matrix + companion.conductance_matrix()).tocsr()
                 rhs_total = base_rhs + companion.rhs
-                x_new = solver.solve(matrix, rhs_total, structure=structure)
+                x_new = solve_sparse(matrix, rhs_total, structure=structure)
                 delta = np.max(np.abs(x_new[:structure.n_nodes] - x[:structure.n_nodes])) \
                     if structure.n_nodes else 0.0
                 x = x_new

@@ -41,11 +41,8 @@ supported Python — TOML parsing needs the stdlib ``tomllib`` of 3.11+)::
     nx = 40
     ny = 40
 
-    [solver]                    # linear-solver backend (SolverOptions)
-    backend = "reuse-lu"        # "direct" | "reuse-lu" | "iterative"
-                                # | "multigrid"
-    mg_cycle = "v"              # multigrid knobs: "v" | "w" cycles,
-    mg_smoother = "rbgs"        # "rbgs" | "jacobi" smoothing
+    [solver]                    # SolverOptions
+    backend = "reuse-lu"        # "direct" | "reuse-lu" (the same LU path)
 
     [execution]                 # defaults for the CLI flags
     backend = "serial"          # or "process-pool"
@@ -67,8 +64,9 @@ supported Python — TOML parsing needs the stdlib ``tomllib`` of 3.11+)::
     progress = true             # live progress line (default: only on a TTY)
 
 The ``[solver]`` table participates in the extraction-cache key (two
-campaigns differing only in solver backend or tolerances never share cached
-extractions) and is recorded in the result's ``.meta.json`` sidecar.
+campaigns differing only in solver backend never share cached extractions)
+and is recorded in the result's ``.meta.json`` sidecar.  Every table must
+be a table: anything else is a config error naming it.
 
 Failure handling: with ``on_error = "skip"`` / ``"retry_then_skip"`` a
 campaign completes with partial results — failed corners are recorded in the
@@ -90,7 +88,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import AnalysisError, ReproError
+from ..errors import AnalysisError, ReproError, SimulationError
 from ..layout.testchips import VcoLayoutSpec
 from ..obs import (
     CompositeObserver,
@@ -299,6 +297,17 @@ def _axis_values(name: str, value) -> tuple[float, ...]:
         f"got {type(value).__name__}")
 
 
+def _table(parent: dict, key: str, context: str) -> dict:
+    """The sub-table ``parent[key]`` as a fresh dict (absent means empty)."""
+    value = parent.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise AnalysisError(
+            f"[{context}] must be a table, got {type(value).__name__}")
+    return dict(value)
+
+
 def _check_table(table: dict, allowed: tuple[str, ...], context: str) -> None:
     unknown = set(table) - set(allowed)
     if unknown:
@@ -320,19 +329,20 @@ def load_campaign_config(path: str | Path) -> CampaignConfig:
                   "observability"),
                  "top level")
 
-    axes_table = data.get("axes")
+    axes_table = _table(data, "axes", "axes")
     if not axes_table:
         raise AnalysisError(f"campaign config {path} declares no [axes]")
     axes = {name: _axis_values(name, value)
             for name, value in axes_table.items()}
 
-    layout_table = dict(data.get("layout") or {})
+    layout_table = _table(data, "layout", "layout")
     spec_fields = tuple(f.name for f in fields(VcoLayoutSpec))
     _check_table(layout_table, spec_fields, "layout")
     base_spec = VcoLayoutSpec(**layout_table)
 
-    options_table = dict(data.get("options") or {})
-    mesh_table = dict(options_table.pop("mesh", {}) or {})
+    options_table = _table(data, "options", "options")
+    mesh_table = _table(options_table, "mesh", "options.mesh")
+    options_table.pop("mesh", None)
     _check_table(options_table, _OPTION_FIELDS, "options")
     for name in ("vtune_values", "noise_frequencies"):
         if name in options_table:
@@ -346,7 +356,7 @@ def load_campaign_config(path: str | Path) -> CampaignConfig:
         options = replace(options, flow=replace(
             options.flow, substrate=replace(substrate, **mesh_table)))
 
-    solver_table = dict(data.get("solver") or {})
+    solver_table = _table(data, "solver", "solver")
     if solver_table:
         from ..simulator.linalg import SolverOptions
 
@@ -354,18 +364,18 @@ def load_campaign_config(path: str | Path) -> CampaignConfig:
                      tuple(f.name for f in fields(SolverOptions)), "solver")
         try:
             solver_options = SolverOptions(**solver_table)
-        except TypeError as exc:             # e.g. a quoted number in TOML
+        except SimulationError as exc:
             raise AnalysisError(f"invalid [solver] value: {exc}") from exc
         options = replace(options, flow=replace(
             options.flow, solver=solver_options))
 
-    execution_table = dict(data.get("execution") or {})
+    execution_table = _table(data, "execution", "execution")
     _check_table(execution_table,
                  tuple(f.name for f in fields(ExecutionSettings)),
                  "execution")
     execution = ExecutionSettings(**execution_table)
 
-    observability_table = dict(data.get("observability") or {})
+    observability_table = _table(data, "observability", "observability")
     _check_table(observability_table,
                  tuple(f.name for f in fields(ObservabilitySettings)),
                  "observability")

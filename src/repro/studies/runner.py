@@ -109,8 +109,8 @@ class TaskOutcome:
     """Per-point records produced by one task, tagged with the task index.
 
     ``degradations`` holds the non-zero solver degradation counters this task
-    tripped (gmin/source-stepping rungs, iterative->LU fallbacks), measured
-    as the worker-local delta of the global solver stats around the task.
+    tripped (gmin/source-stepping rungs), measured as the worker-local delta
+    of the global solver stats around the task.
     ``seconds`` is the task's wall clock; ``spans`` carries the spans the
     task recorded under its :class:`~repro.obs.TraceContext` home to the
     parent process (empty whenever tracing is disabled).
@@ -842,7 +842,7 @@ class SweepRunner:
         from ..simulator.solver import stats as solver_stats
 
         reg = MetricsRegistry()
-        delta = SolverStats(backend=solver_stats.backend)
+        delta = SolverStats()
         for name in SolverStats._COUNTERS:
             setattr(delta, name,
                     getattr(solver_stats, name) - solver_before[name])

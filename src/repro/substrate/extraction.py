@@ -191,18 +191,15 @@ def identify_ports(cell: Cell, technology: ProcessTechnology) -> list[SubstrateP
 
 
 def extract_substrate(cell: Cell, technology: ProcessTechnology,
-                      options: SubstrateExtractionOptions | None = None,
-                      solver=None) -> SubstrateExtraction:
+                      options: SubstrateExtractionOptions | None = None
+                      ) -> SubstrateExtraction:
     """Run the full substrate extraction for a layout cell.
 
     The mesh is handed to :func:`~repro.substrate.reduction.kron_reduce` in
     its separable form (:class:`~repro.substrate.mesh.LayeredLaplacian`):
     its lateral edges are uniform, its conductivity depends only on depth
     and every port sits on surface cells, so the reduction runs in contact
-    space and the mesh matrix is never assembled.  ``solver`` (a
-    :class:`~repro.simulator.linalg.SolverOptions` or
-    :class:`~repro.simulator.linalg.LinearSolver`) only serves the
-    mesh-solve fallback of that reduction.
+    space and the mesh matrix is never assembled.
     """
     options = options or SubstrateExtractionOptions()
     ports = identify_ports(cell, technology)
@@ -254,7 +251,7 @@ def extract_substrate(cell: Cell, technology: ProcessTechnology,
 
     t_kron = time.perf_counter()
     macromodel = kron_reduce(laplacian, port_nodes,
-                             [port.name for port in ports], solver=solver)
+                             [port.name for port in ports])
     kron_seconds = time.perf_counter() - t_kron
     return SubstrateExtraction(cell_name=cell.name, ports=ports,
                                macromodel=macromodel,

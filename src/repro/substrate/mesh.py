@@ -131,17 +131,6 @@ class SubstrateMesh:
             raise ExtractionError(f"mesh index out of range: {(ix, iy, iz)}")
         return (iz * self.ny + iy) * self.nx + ix
 
-    def grid_geometry(self):
-        """The structured-grid shape behind :meth:`conductance_matrix`.
-
-        Passed (via ``kron_reduce``) to the linear-solver seam so the
-        multigrid backend can coarsen geometrically; every other backend
-        ignores it.
-        """
-        from ..simulator.linalg import GridGeometry
-
-        return GridGeometry(nx=self.nx, ny=self.ny, nz=self.nz)
-
     def cell_centers_x(self) -> np.ndarray:
         return 0.5 * (self.x_edges[:-1] + self.x_edges[1:])
 

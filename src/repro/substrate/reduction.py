@@ -28,13 +28,11 @@ import numpy as np
 from ..errors import ExtractionError, SimulationError
 from ..netlist.circuit import Circuit
 from ..obs import get_logger, trace_span
-from ..simulator.linalg import resolve_solver
+from ..simulator import solver as _solver
 from .mesh import LayeredLaplacian
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
-
-    from ..simulator.linalg import LinearSolver, SolverOptions
 
 logger = get_logger(__name__)
 
@@ -164,9 +162,8 @@ class SubstrateMacromodel:
 def kron_reduce(conductance: "sp.spmatrix | LayeredLaplacian",
                 port_nodes: list[list[int]] | list[list[tuple[int, float]]],
                 port_names: list[str],
-                port_contact_conductance: list[float] | None = None,
-                solver: "SolverOptions | LinearSolver | None" = None,
-                grid=None) -> SubstrateMacromodel:
+                port_contact_conductance: list[float] | None = None
+                ) -> SubstrateMacromodel:
     """Reduce a substrate mesh to its port-level macromodel.
 
     Two exact methods compute the same Schur complement:
@@ -177,10 +174,13 @@ def kron_reduce(conductance: "sp.spmatrix | LayeredLaplacian",
       :func:`~repro.substrate.extraction.extract_substrate` builds), the
       mesh is eliminated analytically: the DCT Green's function of the
       layered substrate on the K contacted cells plus one dense (K+1)
-      solve.  No mesh matrix is assembled and ``solver`` is not used.
+      solve.  No mesh matrix is assembled and no linear solver runs.
     * **mesh-solve** — otherwise (a bare sparse matrix, a port node below
       the surface, non-uniform edges) the internal block of the mesh is
-      factorized by ``solver`` and solved against every port column.
+      factorized once with SuperLU and solved against every port column.
+      A :class:`~repro.substrate.mesh.LayeredLaplacian` that has to take
+      this path counts one ``fallbacks`` in
+      :data:`repro.simulator.solver.stats`.
 
     Parameters
     ----------
@@ -200,15 +200,6 @@ def kron_reduce(conductance: "sp.spmatrix | LayeredLaplacian",
         holds plain indices (``None`` means an ideal connection, implemented
         as a very large conductance).  Ignored for ``(node, conductance)``
         pairs.
-    solver:
-        Linear-solver backend of the mesh-solve method
-        (:class:`~repro.simulator.linalg.SolverOptions` or a ready
-        :class:`~repro.simulator.linalg.LinearSolver`).
-    grid:
-        Structured-grid shape behind an assembled ``conductance`` (a
-        :class:`~repro.simulator.linalg.GridGeometry`), for geometric
-        coarsening in the ``multigrid`` backend; other backends ignore it.
-        Taken from a ``LayeredLaplacian`` when not given.
 
     Returns
     -------
@@ -238,14 +229,9 @@ def kron_reduce(conductance: "sp.spmatrix | LayeredLaplacian",
         else:
             method = "mesh-solve"
             if layered:
-                if grid is None:
-                    from ..simulator.linalg import GridGeometry
-
-                    grid = GridGeometry(nx=conductance.nx, ny=conductance.ny,
-                                        nz=conductance.nz)
+                _solver.stats.fallbacks += 1
                 conductance = conductance.matrix()
-            reduced = _mesh_solve(conductance, nodes, ports, shares, n_ports,
-                                  solver, grid)
+            reduced = _mesh_solve(conductance, nodes, ports, shares, n_ports)
         # Enforce symmetry (numerical round-off).
         admittance = 0.5 * (reduced + reduced.T)
         residuals = _kron_residuals(reduced, admittance)
@@ -288,7 +274,7 @@ def _port_contacts(port_nodes, port_names, port_contact_conductance):
     return np.array(nodes), np.array(ports), np.array(shares)
 
 
-def _mesh_solve(conductance, nodes, ports, shares, n_ports, solver, grid):
+def _mesh_solve(conductance, nodes, ports, shares, n_ports):
     """``Y_pp - Y_pi Y_ii^-1 Y_ip`` with one factorization of the mesh block."""
     # The Schur blocks of the augmented (mesh + port) system are assembled
     # directly — no augmented matrix is ever formed.  Port couplings only add
@@ -310,7 +296,7 @@ def _mesh_solve(conductance, nodes, ports, shares, n_ports, solver, grid):
     y_ii = (sp.csc_matrix(conductance)
             + sp.diags(internal_diagonal + 1e-12, format="csc"))
     try:
-        solved = resolve_solver(solver).factorize(y_ii, grid=grid).solve(y_ip)
+        solved = _solver.Factorization(y_ii).solve(y_ip)
     except SimulationError as exc:
         raise ExtractionError(f"substrate reduction failed: {exc}") from exc
     return y_pp - y_ip.T @ solved

@@ -42,7 +42,6 @@ from repro.errors import (
 from repro.netlist.circuit import Circuit
 from repro.simulator import solver as solver_module
 from repro.simulator.dc import DcOptions, dc_operating_point
-from repro.simulator.linalg import SolverOptions
 from repro.studies import (
     Campaign,
     CampaignJournal,
@@ -467,21 +466,27 @@ def test_ladder_failure_reports_every_strategy():
 
 def test_campaign_records_solver_degradations(technology, ft_campaign,
                                               tmp_path, monkeypatch):
-    # The iterative solver backend degrades on every non-SPD MNA system
-    # (fallbacks -> reuse-LU), which the runner must surface per campaign.
-    # The impact netlist is small enough for the dense path, which never
-    # consults a backend, so the limit is lowered to route it through one.
-    from dataclasses import replace
+    # Every corner's cold plain-Newton attempt stumbles (injected), so the
+    # DC homotopy ladder rescues it with gmin stepping; the runner must
+    # surface those rungs per campaign.
+    from repro.simulator import dc as dc_module
 
-    monkeypatch.setattr(solver_module, "DENSE_MAX_UNKNOWNS", 0)
-    options = replace(ft_campaign.options,
-                      flow=replace(TINY_MESH,
-                                   solver=SolverOptions(backend="iterative")))
+    newton = dc_module._newton_solve
+
+    def stumbling_newton(circuit, structure, linear, options, initial,
+                         **kwargs):
+        if (kwargs["source_scale"] == 1.0 and kwargs["gmin"] == options.gmin
+                and not np.any(initial)):
+            raise ConvergenceError("injected plain-Newton stumble")
+        return newton(circuit, structure, linear, options, initial, **kwargs)
+
+    monkeypatch.setattr(dc_module, "_newton_solve", stumbling_newton)
     campaign = Campaign(name="degraded", space=ft_campaign.space,
-                        options=options)
+                        options=ft_campaign.options)
     result = SweepRunner(technology).run(campaign)
     assert result.complete
-    assert result.solver_degradations.get("fallbacks", 0) > 0
+    assert result.solver_degradations == {
+        "dc_gmin_steps": 2 * DcOptions().gmin_steps}
 
     saved, _ = result.save(tmp_path / "degraded.npz")
     loaded = SweepResult.load(saved)

@@ -81,40 +81,3 @@ def test_circuit_above_dense_limit_solves_through_sparse_path(run_fresh):
     np.testing.assert_allclose(out["voltages"],
                                1.0 - np.arange(n + 1) / (n + 1), atol=1e-9)
 
-
-def test_make_solver_builds_every_backend_without_importing_multigrid(
-        run_fresh):
-    # No import-time registration: make_solver loads the multigrid module
-    # on demand, so every name in BACKENDS builds from a fresh process.
-    out = run_fresh("""
-        import json, sys
-        import numpy as np
-        from repro.simulator.linalg import BACKENDS, SolverOptions, make_solver
-
-        before = "repro.simulator.linalg.multigrid" in sys.modules
-        # A small SPD system: CG for "iterative", and the CG rung of
-        # "multigrid" (no grid geometry is given).
-        import scipy.sparse as sp
-        n = 30
-        matrix = sp.diags([-np.ones(n - 1), 2.5 * np.ones(n), -np.ones(n - 1)],
-                          [-1, 0, 1], format="csr")
-        rhs = np.arange(1.0, n + 1)
-        solvers, residuals, cg_solves = {}, {}, {}
-        for backend in BACKENDS:
-            solver = make_solver(SolverOptions(backend=backend))
-            x = solver.factorize(matrix).solve(rhs)
-            solvers[backend] = [type(solver).__name__, solver.stats.backend]
-            residuals[backend] = float(np.linalg.norm(matrix @ x - rhs))
-            cg_solves[backend] = solver.stats.cg_solves
-        print(json.dumps({"before": before, "solvers": solvers,
-                          "residuals": residuals, "cg_solves": cg_solves}))
-    """)
-    assert out["before"] is False
-    assert out["solvers"]["iterative"] == ["IterativeSolver", "iterative"]
-    assert out["solvers"]["multigrid"] == ["MultigridSolver", "multigrid"]
-    assert set(out["solvers"]) == {"direct", "reuse-lu", "iterative",
-                                   "multigrid"}
-    assert out["cg_solves"]["iterative"] == 1
-    assert out["cg_solves"]["multigrid"] == 1
-    for backend, residual in out["residuals"].items():
-        assert residual < 1e-6, backend

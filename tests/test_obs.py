@@ -192,7 +192,7 @@ def test_absorb_adapters_match_legacy_records():
     stats = SolverStats()
     stats.factorizations = 7
     stats.solves = 22
-    stats.cg_iterations = 5
+    stats.dc_gmin_steps = 5
 
     class _Cache:
         hits, misses, evictions, corrupted = 3, 1, 0, 0
@@ -209,7 +209,7 @@ def test_absorb_adapters_match_legacy_records():
     counters = reg.snapshot()["counters"]
     assert counters["solver.factorizations"] == stats.factorizations
     assert counters["solver.solves"] == stats.solves
-    assert counters["solver.cg_iterations"] == stats.cg_iterations
+    assert counters["solver.dc_gmin_steps"] == stats.dc_gmin_steps
     assert counters["cache.hits"] == 3 and counters["cache.misses"] == 1
     assert counters["solver.degradations{kind=gmin_step}"] == 4
     assert counters["campaign.task_attempts"] == 5

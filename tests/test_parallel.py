@@ -8,8 +8,8 @@ Covers the `repro.parallel` package end to end:
 * the zero-copy arena / shipped-object plane, including the inline fallback;
 * worker-count configuration: the ``REPRO_MAX_WORKERS`` environment
   override and the ``[execution] max_workers`` config key;
-* the fingerprint seam: memory and transport knobs (``max_cached_patterns``,
-  flow transport) must never invalidate the extraction cache;
+* the fingerprint seam: transport knobs (how a task's flow is shipped) must
+  never invalidate the extraction cache;
 * numerical equivalence: a whole campaign on the graph scheduler == serial.
 """
 
@@ -38,7 +38,6 @@ from repro.parallel import (
 )
 from repro.parallel.plan import TaskFailure
 from repro.parallel.shm import InlineArena, InlineObjectRef, ObjectShipper
-from repro.simulator.linalg import SolverOptions
 from repro.studies import (
     Campaign,
     DiskExtractionCache,
@@ -289,15 +288,6 @@ def test_execution_settings_worker_alias_validation():
 
 
 # -- fingerprint seam: parallelism never invalidates the cache ----------------
-
-
-def test_parallelism_knobs_excluded_from_solver_fingerprint():
-    base = SolverOptions()
-    assert SolverOptions.__fingerprint_exclude__ == ("max_cached_patterns",)
-    varied = replace(base, max_cached_patterns=2)
-    assert fingerprint(base) == fingerprint(varied)
-    # A genuinely numerical knob still changes the identity.
-    assert fingerprint(base) != fingerprint(replace(base, gmin=1e-9))
 
 
 def test_sweep_task_fingerprint_ignores_flow_transport(technology):

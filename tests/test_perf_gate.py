@@ -29,10 +29,10 @@ BASELINE = {
         "mesh_nodes": 4800,
     },
     "solver": {
-        "rhs_columns": 8,
-        "mesh": {
-            "nx56": {"direct_cold_seconds": 0.6,
-                     "multigrid_seconds": 0.2},
+        "contact_space": {
+            "nx56": {"contact_space_seconds": 0.03,
+                     "mesh_solve_seconds": 0.6,
+                     "contacted_cells": 576},
         },
     },
 }
@@ -59,7 +59,8 @@ def _current(flow_total=5.0, extraction=2.0, kron=1.2, **extra):
 def test_flatten_collects_only_seconds_keys():
     metrics = perf_gate.flatten_seconds(BASELINE)
     assert metrics["flow.total_seconds"] == 5.0
-    assert metrics["solver.mesh.nx56.multigrid_seconds"] == 0.2
+    assert metrics["solver.contact_space.nx56.mesh_solve_seconds"] == 0.6
+    assert "solver.contact_space.nx56.contacted_cells" not in metrics
     assert "flow.mesh_nodes" not in metrics
     assert all(key.endswith("_seconds") for key in metrics)
 
@@ -189,7 +190,8 @@ def test_gate_missing_baseline_file_fails(tmp_path, capsys):
 def test_gate_tolerates_new_sections_and_metrics(tmp_path):
     baseline = _write(tmp_path, "baseline.json", BASELINE)
     snapshot = _current()
-    snapshot["solver"]["mesh"]["nx160"] = {"multigrid_seconds": 1.0}
+    snapshot["solver"]["contact_space"]["nx160"] = {
+        "contact_space_seconds": 0.6}
     current = _write(tmp_path, "current.json", snapshot)
     assert perf_gate.main(["--baseline", str(baseline),
                            "--current", str(current)]) == 0

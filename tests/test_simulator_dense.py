@@ -18,7 +18,6 @@ from repro.netlist.circuit import Circuit
 from repro.netlist.elements import SourceValue
 from repro.simulator import (
     DcOptions,
-    DirectLUSolver,
     ac_analysis,
     dc_operating_point,
     transfer_functions,
@@ -183,29 +182,30 @@ def test_singular_dense_circuit_names_the_floating_node(analysis):
 def test_dense_solve_rejects_non_finite_solutions():
     matrix = np.array([[np.nan, 0.0], [0.0, 1.0]])
     with pytest.raises(SimulationError, match="non-finite"):
-        dense_solve(matrix, np.ones(2), sinks=())
+        dense_solve(matrix, np.ones(2))
 
 
 # -- counters -----------------------------------------------------------------
 
 
 @pytest.mark.parametrize("sweep", [
-    lambda c, s: transfer_functions(c, ["V1"], ["n_0_1"], FREQUENCIES,
-                                    solver=s),
-    lambda c, s: ac_analysis(c, FREQUENCIES, solver=s),
+    lambda c: transfer_functions(c, ["V1"], ["n_0_1"], FREQUENCIES),
+    lambda c: ac_analysis(c, FREQUENCIES),
 ], ids=["transfer", "ac"])
 def test_batched_sweep_counts_one_factorization_per_frequency(sweep):
-    solver = DirectLUSolver()
-    sweep(_grid(3, 3), solver)
-    assert solver.stats.factorizations == len(FREQUENCIES)
-    assert solver.stats.solves == len(FREQUENCIES)
+    circuit = _grid(3, 3)
+    solver_core.stats.reset()
+    sweep(circuit)
+    assert solver_core.stats.factorizations == len(FREQUENCIES)
+    assert solver_core.stats.solves == len(FREQUENCIES)
 
 
 def test_dense_newton_counts_one_solve_per_iteration():
-    solver = DirectLUSolver()
-    solution = dc_operating_point(_grid(3, 3), solver=solver)
-    assert solver.stats.solves == solution.iterations
-    assert solver.stats.factorizations == 0
+    circuit = _grid(3, 3)
+    solver_core.stats.reset()
+    solution = dc_operating_point(circuit)
+    assert solver_core.stats.solves == solution.iterations
+    assert solver_core.stats.factorizations == 0
 
 
 def test_split_dense_batches_match_one_batch(monkeypatch):
@@ -214,11 +214,11 @@ def test_split_dense_batches_match_one_batch(monkeypatch):
                                FREQUENCIES)["V1"].transfers["n_1_1"]
     # Room for 7 matrices per batch: 60 frequencies take 9 batches.
     monkeypatch.setattr(ac_module, "DENSE_STACK_BYTES", 7 * 16 * 10 * 10)
-    solver = DirectLUSolver()
-    split = transfer_functions(circuit, ["V1"], ["n_1_1"], FREQUENCIES,
-                               solver=solver)["V1"].transfers["n_1_1"]
+    solver_core.stats.reset()
+    split = transfer_functions(circuit, ["V1"], ["n_1_1"],
+                               FREQUENCIES)["V1"].transfers["n_1_1"]
     np.testing.assert_array_equal(split, whole)
-    assert solver.stats.factorizations == len(FREQUENCIES)
+    assert solver_core.stats.factorizations == len(FREQUENCIES)
 
 
 # -- whole-grid entry evaluation ----------------------------------------------

@@ -70,13 +70,13 @@ def test_sources_are_restored_on_solver_error(monkeypatch):
     circuit = _summing_network()
     originals = {element.name: element.value for element in circuit.sources()}
 
-    from repro.simulator.linalg import LinearSolver
+    from repro.simulator import ac as ac_module
 
-    def failing_solve_dense(self, *args, **kwargs):
+    def failing_dense_solve(*args, **kwargs):
         raise SimulationError("injected factorization failure")
 
     # The network is small enough for the dense batch: fail that solve.
-    monkeypatch.setattr(LinearSolver, "solve_dense", failing_solve_dense)
+    monkeypatch.setattr(ac_module, "dense_solve", failing_dense_solve)
     with pytest.raises(SimulationError, match="injected"):
         transfer_functions(circuit, ["V1"], ["out"], [1e3])
     for element in circuit.sources():

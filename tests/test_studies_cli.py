@@ -135,41 +135,59 @@ def test_config_rejects_unknown_keys(tmp_path):
 
 
 def test_solver_table_selects_backend(tmp_path):
-    config = dict(TINY_CONFIG,
-                  solver={"backend": "reuse-lu", "max_cached_patterns": 2,
-                          "cg_rtol": 1e-11})
+    config = dict(TINY_CONFIG, solver={"backend": "reuse-lu"})
     path = tmp_path / "solver.json"
     path.write_text(json.dumps(config))
     campaign = load_campaign_config(path).campaign
-    solver = campaign.options.flow.solver
-    assert solver.backend == "reuse-lu"
-    assert solver.max_cached_patterns == 2
-    assert solver.cg_rtol == 1e-11
+    assert campaign.options.flow.solver.backend == "reuse-lu"
     # The sidecar-bound description records the solver table verbatim.
-    assert campaign.describe()["options"]["solver"]["backend"] == "reuse-lu"
+    assert campaign.describe()["options"]["solver"] == {"backend": "reuse-lu"}
 
 
 def test_solver_table_rejects_unknown_keys_and_backends(tmp_path):
     path = tmp_path / "bad_solver.json"
-    path.write_text(json.dumps(dict(TINY_CONFIG,
-                                    solver={"no_such_option": 1})))
-    with pytest.raises(AnalysisError, match="no_such_option"):
+    for solver, message in [
+        ({"no_such_option": 1}, "no_such_option"),
+        # The removed frequency fan-out knobs are unknown keys now ...
+        ({"ac_workers": 2}, "ac_workers"),
+        # ... and so are the retired backends' knobs and the gmin override.
+        ({"mg_cycle": "v"}, "mg_cycle"),
+        ({"cg_rtol": 1e-9}, "cg_rtol"),
+        ({"max_cached_patterns": 2}, "max_cached_patterns"),
+        ({"gmin": 1e-9}, "gmin"),
+        ({"backend": "cholesky"}, "cholesky"),
+        ({"backend": "iterative"}, "iterative"),
+        ({"backend": "multigrid"}, "multigrid"),
+        # A wrong-typed value is a clean config error, not a traceback.
+        ({"backend": 1}, "invalid \\[solver\\]"),
+    ]:
+        path.write_text(json.dumps(dict(TINY_CONFIG, solver=solver)))
+        with pytest.raises(AnalysisError, match=message):
+            load_campaign_config(path)
+
+
+@pytest.mark.parametrize("table, value", [
+    ("axes", [0.0]),
+    ("layout", 1.0),
+    ("options", "fast"),
+    ("options.mesh", [12, 12]),
+    ("solver", "direct"),
+    ("execution", ["serial"]),
+    ("observability", True),
+])
+def test_non_table_config_table_is_a_clean_error(tmp_path, capsys, table,
+                                                 value):
+    config = json.loads(json.dumps(TINY_CONFIG))
+    if table == "options.mesh":
+        config["options"]["mesh"] = value
+    else:
+        config[table] = value
+    path = tmp_path / "bad_table.json"
+    path.write_text(json.dumps(config))
+    with pytest.raises(AnalysisError, match=f"\\[{table}\\] must be a table"):
         load_campaign_config(path)
-    # The removed frequency fan-out knobs are unknown keys now.
-    path.write_text(json.dumps(dict(TINY_CONFIG,
-                                    solver={"ac_workers": 2})))
-    with pytest.raises(AnalysisError, match="ac_workers"):
-        load_campaign_config(path)
-    path.write_text(json.dumps(dict(TINY_CONFIG,
-                                    solver={"backend": "cholesky"})))
-    with pytest.raises(Exception, match="cholesky"):
-        load_campaign_config(path)
-    # A wrong-typed value (a quoted number) is a clean config error, not a
-    # TypeError traceback.
-    path.write_text(json.dumps(dict(TINY_CONFIG,
-                                    solver={"max_cached_patterns": "2"})))
-    with pytest.raises(AnalysisError, match="invalid \\[solver\\]"):
-        load_campaign_config(path)
+    assert main(["run", str(path)]) == 2
+    assert f"[{table}] must be a table" in capsys.readouterr().err
 
 
 def test_solver_table_changes_campaign_fingerprint(tmp_path):
@@ -177,7 +195,7 @@ def test_solver_table_changes_campaign_fingerprint(tmp_path):
     base_path.write_text(json.dumps(TINY_CONFIG))
     tuned_path = tmp_path / "tuned.json"
     tuned_path.write_text(json.dumps(dict(
-        TINY_CONFIG, solver={"backend": "iterative", "cg_rtol": 1e-9})))
+        TINY_CONFIG, solver={"backend": "reuse-lu"})))
     base = load_campaign_config(base_path).campaign
     tuned = load_campaign_config(tuned_path).campaign
     assert base.fingerprint() != tuned.fingerprint()

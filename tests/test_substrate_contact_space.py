@@ -1,7 +1,7 @@
 """Contact-space Kron reduction against the mesh solve it replaces.
 
-``extract_substrate`` reduces every qualifying mesh in contact space, under
-every solver backend, so these tests are the only place the two exact
+``extract_substrate`` reduces every qualifying mesh in contact space, so
+these tests are the only place the two exact
 methods are checked against each other: on small meshes with every port
 shape, on the 56 x 56 VCO flow and its Figure-8 / Figure-10 spurs, plus the
 fallback rules and the separable operator itself.
@@ -22,7 +22,7 @@ from repro.core.flow import FlowOptions
 from repro.core.vco_experiment import VcoExperimentOptions, ground_resistance_study
 from repro.layout.geometry import Rect
 from repro.obs import tracer
-from repro.simulator.linalg import resolve_solver
+from repro.simulator.solver import Factorization
 from repro.studies import Campaign, ExtractionCache, ParamSpace, SweepRunner
 from repro.substrate import (
     MeshSpec,
@@ -250,7 +250,7 @@ def _mesh_solve_reference(conductance, port_nodes, contact):
             y_pp[port, port] += share
     y_ii = (sp.csc_matrix(conductance)
             + sp.diags(internal_diagonal + 1e-12, format="csc"))
-    solved = resolve_solver(None).factorize(y_ii).solve(y_ip)
+    solved = Factorization(y_ii).solve(y_ip)
     reduced = y_pp - y_ip.T @ solved
     return 0.5 * (reduced + reduced.T)
 
