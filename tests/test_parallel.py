@@ -9,7 +9,8 @@ Covers the `repro.parallel` package end to end:
 * worker-count configuration: the ``REPRO_MAX_WORKERS`` environment
   override and the ``[execution] max_workers`` config key;
 * the fingerprint seam: transport knobs (how a task's flow is shipped) must
-  never invalidate the extraction cache;
+  never invalidate the extraction cache, and the ``[solver]`` table carries
+  no parallelism knob at all;
 * numerical equivalence: a whole campaign on the graph scheduler == serial.
 """
 
@@ -38,6 +39,7 @@ from repro.parallel import (
 )
 from repro.parallel.plan import TaskFailure
 from repro.parallel.shm import InlineArena, InlineObjectRef, ObjectShipper
+from repro.simulator.linalg import SolverOptions
 from repro.studies import (
     Campaign,
     DiskExtractionCache,
@@ -288,6 +290,15 @@ def test_execution_settings_worker_alias_validation():
 
 
 # -- fingerprint seam: parallelism never invalidates the cache ----------------
+
+
+def test_parallelism_knobs_excluded_from_solver_fingerprint():
+    # The [solver] table holds no parallelism or memory knob, so nothing in
+    # it is excluded from the fingerprint: its one field is numerical identity.
+    base = SolverOptions()
+    assert getattr(SolverOptions, "__fingerprint_exclude__", ()) == ()
+    assert fingerprint(base) == fingerprint(SolverOptions())
+    assert fingerprint(base) != fingerprint(replace(base, backend="reuse-lu"))
 
 
 def test_sweep_task_fingerprint_ignores_flow_transport(technology):

@@ -3,19 +3,14 @@
 The equivalence tests assert that every cached-factorization / shared-pattern
 path produces results identical (atol <= 1e-12) to a direct ``spsolve`` of the
 same systems, for DC, AC, linear transient, Newton transient and the Kron
-reduction of a small substrate mesh.  The ``[solver]`` table
-(:class:`SolverOptions`) is checked for validation and for its part in the
-extraction-cache key and the campaign sidecar.
+reduction of a small substrate mesh.
 """
-
-from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from repro.core.flow import FlowOptions, run_extraction_flow
 from repro.errors import SimulationError
 from repro.layout.geometry import Rect
 from repro.netlist import Circuit, SourceValue
@@ -24,7 +19,6 @@ from repro.simulator import (
     dc_operating_point,
     transient_analysis,
 )
-from repro.simulator.linalg import BACKENDS, SolverOptions
 from repro.simulator.mna import MnaStructure, solve_sparse, stamp_linear_elements
 from repro.simulator.solver import (
     Factorization,
@@ -33,7 +27,6 @@ from repro.simulator.solver import (
     stats,
 )
 from repro.substrate import MeshSpec, SubstrateMesh, kron_reduce
-from repro.substrate.extraction import SubstrateExtractionOptions
 
 ATOL = 1e-12
 
@@ -308,53 +301,7 @@ def test_solve_sparse_empty_and_nonsquare():
         solve_sparse(sp.csr_matrix((2, 3)), np.zeros(2))
 
 
-# -- the [solver] table ------------------------------------------------------------------
-
-
-def test_solver_options_validation():
-    assert [f.name for f in fields(SolverOptions)] == ["backend"]
-    assert BACKENDS == ("direct", "reuse-lu")
-    for retired in ("iterative", "cholesky"):
-        with pytest.raises(SimulationError, match="direct, reuse-lu"):
-            SolverOptions(backend=retired)
-
-
-def test_solver_options_are_part_of_extraction_cache_key(technology,
-                                                         nmos_cell, tmp_path):
-    from repro.studies import DiskExtractionCache, extraction_key
-
-    substrate = SubstrateExtractionOptions(nx=10, ny=10)
-    direct = FlowOptions(substrate=substrate)
-    reuse = FlowOptions(substrate=substrate,
-                        solver=SolverOptions(backend="reuse-lu"))
-    key_direct = extraction_key(nmos_cell, technology, direct)
-    key_reuse = extraction_key(nmos_cell, technology, reuse)
-    assert key_direct != key_reuse
-
-    # Two campaigns differing only in the [solver] table must not share
-    # DiskExtractionCache entries: an entry stored under one key is a miss
-    # under the other.
-    cache = DiskExtractionCache(tmp_path / "cache")
-    cache.store(key_reuse, run_extraction_flow(nmos_cell, technology,
-                                               options=reuse))
-    assert cache.lookup(key_reuse) is not None
-    assert cache.lookup(key_direct) is None
-
-
-def test_campaign_fingerprint_and_sidecar_record_solver():
-    from repro.core.vco_experiment import VcoExperimentOptions
-    from repro.studies import Campaign, ParamSpace
-
-    space = ParamSpace({"vtune": (0.0,), "noise_frequency": (1e6,)})
-    default = Campaign(name="c", space=space)
-    tuned = Campaign(
-        name="c", space=space,
-        options=replace(
-            VcoExperimentOptions(),
-            flow=replace(VcoExperimentOptions().flow,
-                         solver=SolverOptions(backend="reuse-lu"))))
-    assert default.fingerprint() != tuned.fingerprint()
-    assert tuned.describe()["options"]["solver"] == {"backend": "reuse-lu"}
+# -- the Kron mesh-solve fallback ---------------------------------------------------
 
 
 def test_layered_mesh_solve_counts_a_fallback(technology):
