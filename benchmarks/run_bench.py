@@ -109,13 +109,12 @@ def _bench_sweep() -> dict:
     import tempfile
 
     from repro.core.flow import FlowOptions
+    from repro.parallel import WorkScheduler
     from repro.studies import (
         Campaign,
         DiskExtractionCache,
         ExtractionCache,
         ParamSpace,
-        ProcessPoolBackend,
-        SerialBackend,
         SweepRunner,
     )
     from repro.substrate.extraction import SubstrateExtractionOptions
@@ -134,7 +133,7 @@ def _bench_sweep() -> dict:
         options=options)
 
     cache = ExtractionCache()
-    serial = SweepRunner(technology, backend=SerialBackend(), cache=cache)
+    serial = SweepRunner(technology, cache=cache)
 
     start = time.perf_counter()
     cold = serial.run(campaign)
@@ -147,13 +146,13 @@ def _bench_sweep() -> dict:
     # Sharded cold run against its own cache: the per-variant extractions
     # (the expensive half) are fanned out across the workers too.
     sharded_cold_runner = SweepRunner(
-        technology, backend=ProcessPoolBackend(max_workers=2),
+        technology, scheduler=WorkScheduler(max_workers=2),
         cache=ExtractionCache())
     start = time.perf_counter()
     sharded_cold = sharded_cold_runner.run(campaign)
     sharded_cold_seconds = time.perf_counter() - start
 
-    sharded = SweepRunner(technology, backend=ProcessPoolBackend(max_workers=2),
+    sharded = SweepRunner(technology, scheduler=WorkScheduler(max_workers=2),
                           cache=cache)
     start = time.perf_counter()
     sharded_result = sharded.run(campaign)
@@ -162,13 +161,13 @@ def _bench_sweep() -> dict:
     # Disk-backed cache: populate a persistent store, then warm-start a
     # *fresh* cache instance from it (models a new process / CI run).
     with tempfile.TemporaryDirectory() as cache_dir:
-        disk_writer = SweepRunner(technology, backend=SerialBackend(),
+        disk_writer = SweepRunner(technology,
                                   cache=DiskExtractionCache(cache_dir))
         start = time.perf_counter()
         disk_writer.run(campaign)
         disk_cold_seconds = time.perf_counter() - start
 
-        disk_reader = SweepRunner(technology, backend=SerialBackend(),
+        disk_reader = SweepRunner(technology,
                                   cache=DiskExtractionCache(cache_dir))
         start = time.perf_counter()
         disk_warm = disk_reader.run(campaign)
@@ -199,8 +198,9 @@ def _bench_parallel() -> dict:
     """Corner saturation ladder on the unified work scheduler.
 
     The Figure-8-style campaign of ``--section sweep`` (60 points over 2
-    layout variants), run against a warm extraction cache serially and
-    through the graph scheduler at 1/2/4 workers.
+    layout variants), run against a warm extraction cache with the default
+    single in-process worker and then on schedulers of 1/2/4 workers (the
+    1-worker rung is the same in-process path, re-timed).
 
     The section records the measuring container's ``cpu_count`` because the
     ladder's meaning depends on it: on a 1-CPU container (the committed
@@ -210,12 +210,11 @@ def _bench_parallel() -> dict:
     import os
 
     from repro.core.flow import FlowOptions
+    from repro.parallel import WorkScheduler
     from repro.studies import (
         Campaign,
         ExtractionCache,
         ParamSpace,
-        ProcessPoolBackend,
-        SerialBackend,
         SweepRunner,
     )
     from repro.substrate.extraction import SubstrateExtractionOptions
@@ -233,8 +232,7 @@ def _bench_parallel() -> dict:
                 nx=40, ny=40, lateral_margin=60e-6))))
 
     cache = ExtractionCache()
-    serial_runner = SweepRunner(technology, backend=SerialBackend(),
-                                cache=cache)
+    serial_runner = SweepRunner(technology, cache=cache)
     serial_runner.run(campaign)                  # warm the cache
     start = time.perf_counter()
     serial = serial_runner.run(campaign)
@@ -246,7 +244,7 @@ def _bench_parallel() -> dict:
     max_abs_dbm = 0.0
     for n_workers in (1, 2, 4):
         runner = SweepRunner(
-            technology, backend=ProcessPoolBackend(max_workers=n_workers),
+            technology, scheduler=WorkScheduler(max_workers=n_workers),
             cache=cache)
         start = time.perf_counter()
         result = runner.run(campaign)

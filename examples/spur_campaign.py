@@ -3,11 +3,12 @@
 Declares a spur campaign over noise frequency, tuning voltage and ground-grid
 width, then runs it three ways to show the engine's two scaling levers:
 
-1. serial with a cold extraction cache (every layout variant extracts once),
+1. serial (the default single in-process worker) with a cold extraction
+   cache (every layout variant extracts once),
 2. serial again with the warm cache (zero extractions — the cache is
    content-addressed, so re-declared campaigns hit the same entries),
-3. sharded across worker processes, which must produce numerically identical
-   results to the serial run.
+3. sharded across worker processes by a 2-worker ``WorkScheduler``, which
+   must produce numerically identical results to the serial run.
 
 The cache is a :class:`~repro.studies.store.DiskExtractionCache` persisted
 under ``.repro-cache/`` and the final result is saved to
@@ -30,12 +31,11 @@ import numpy as np
 
 from repro.core.flow import FlowOptions
 from repro.core.vco_experiment import VcoExperimentOptions
+from repro.parallel import WorkScheduler
 from repro.studies import (
     Campaign,
     DiskExtractionCache,
     ParamSpace,
-    ProcessPoolBackend,
-    SerialBackend,
     SweepRunner,
 )
 from repro.substrate import SubstrateExtractionOptions
@@ -66,7 +66,7 @@ def main() -> None:
 
     # --- 1. serial, disk-backed cache (cold only on the very first run) --------
     cache = DiskExtractionCache(CACHE_DIR)
-    runner = SweepRunner(technology, backend=SerialBackend(), cache=cache)
+    runner = SweepRunner(technology, cache=cache)
     start = time.perf_counter()
     cold = runner.run(campaign)
     print(f"\nserial      : {time.perf_counter() - start:6.2f} s  "
@@ -81,7 +81,7 @@ def main() -> None:
 
     # --- 3. sharded across processes -------------------------------------------
     sharded_runner = SweepRunner(technology,
-                                 backend=ProcessPoolBackend(max_workers=2),
+                                 scheduler=WorkScheduler(max_workers=2),
                                  cache=cache)
     start = time.perf_counter()
     sharded = sharded_runner.run(campaign)

@@ -9,11 +9,12 @@ reports:
 * the per-entry decomposition showing that the resistive on-chip ground
   interconnect dominates (Figure 9).
 
-The Figure-8 sweep runs on the :mod:`repro.studies` engine, sharded across
-two worker processes; the extraction is reused from the analysis object
-through a seeded content-addressed cache persisted under ``.repro-cache/``,
-so the sweep itself performs zero extractions and later processes sweeping
-the same layout warm-start from disk.
+The Figure-8 sweep runs on the :mod:`repro.studies` engine in this process
+(the default single-worker scheduler; worker processes do not pay off on a
+sweep this small); the extraction is reused from the analysis object through
+a seeded content-addressed cache persisted under ``.repro-cache/``, so the
+sweep itself performs zero extractions and later processes sweeping the same
+layout warm-start from disk.
 
 Run with::
 
@@ -30,7 +31,7 @@ from repro.core.vco_experiment import (
     mechanism_report,
 )
 from repro.layout.testchips import make_vco_testchip
-from repro.studies import DiskExtractionCache, ProcessPoolBackend
+from repro.studies import DiskExtractionCache
 from repro.technology import make_technology
 
 
@@ -56,12 +57,11 @@ def main() -> None:
           f"{carrier_power:.1f} dBm; spurs at fc-/+10 MHz: "
           f"{lower:.1f} / {upper:.1f} dBm")
 
-    # --- Figure 8: spur power versus noise frequency (sharded sweep) -----------
+    # --- Figure 8: spur power versus noise frequency --------------------------
     misses_before = cache.misses
-    sweep = analysis.spur_sweep(backend=ProcessPoolBackend(max_workers=2),
-                                cache=cache)
+    sweep = analysis.spur_sweep(cache=cache)
     print(f"\nFigure 8 — total spur power at fc +/- fnoise [dBm] "
-          f"(2-worker sweep, {cache.misses - misses_before} extractions)")
+          f"({cache.misses - misses_before} extractions)")
     header = "f_noise [MHz]" + "".join(
         f"   Vtune={v:.2f}V" for v in sweep.vtune_values)
     print(header)

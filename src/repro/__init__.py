@@ -15,11 +15,11 @@ The package provides every stage of the paper's Figure-2 flow:
 * :mod:`repro.extraction` — circuit extraction and model merging,
 * :mod:`repro.package` — bondwire / RF-probe models,
 * :mod:`repro.simulator` — MNA DC / AC / transfer / transient engine (dense
-  LAPACK up to 64 unknowns, pluggable sparse backends above),
+  LAPACK up to 64 unknowns, SuperLU above),
 * :mod:`repro.devices`, :mod:`repro.vco` — device and LC-tank VCO models,
 * :mod:`repro.core` — the assembled methodology and the per-figure experiments,
 * :mod:`repro.studies` — the design-study sweep engine (declarative spur
-  campaigns, extraction cache, serial / process-pool execution backends),
+  campaigns, extraction cache, in-process or process-pool execution),
 * :mod:`repro.analysis`, :mod:`repro.data` — spectrum/comparison utilities and
   the reference values reconstructed from the paper.
 

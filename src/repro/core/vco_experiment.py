@@ -23,9 +23,9 @@ On top of that, the module provides the figure-level experiments:
 
 The grid-style experiments (:meth:`VcoImpactAnalysis.spur_sweep`,
 :func:`ground_resistance_study`) run on the :mod:`repro.studies` sweep
-engine: they accept an execution ``backend`` (serial or process-pool) and an
-extraction ``cache`` shared across studies, while returning the same result
-objects as before.
+engine: they accept a work ``scheduler`` (one in-process worker by default,
+or a process pool) and an extraction ``cache`` shared across studies, while
+returning the same result objects as before.
 """
 
 from __future__ import annotations
@@ -312,7 +312,7 @@ class VcoImpactAnalysis:
         The campaign reuses this analysis's already-extracted flow through a
         seeded :class:`~repro.studies.cache.ExtractionCache` (the layout cell
         hashes to the same content key), so running it performs zero
-        additional extractions on any backend.
+        additional extractions whatever the scheduler.
         """
         from ..studies import Campaign, ParamSpace
 
@@ -330,13 +330,13 @@ class VcoImpactAnalysis:
 
     def spur_sweep(self, vtune_values: tuple[float, ...] | None = None,
                    noise_frequencies: np.ndarray | None = None,
-                   backend=None, cache=None,
+                   scheduler=None, cache=None,
                    cache_dir=None) -> VcoSpurSweepResult:
         """Total spur power versus noise frequency for several tuning voltages.
 
-        Runs through the :mod:`repro.studies` sweep engine: ``backend``
-        selects serial or sharded execution (default
-        :class:`~repro.studies.backends.SerialBackend`) and ``cache`` an
+        Runs through the :mod:`repro.studies` sweep engine: ``scheduler``
+        selects in-process or sharded execution (default
+        ``WorkScheduler(max_workers=1)``) and ``cache`` an
         extraction cache to share across studies (default: a fresh one,
         seeded with this analysis's flow so nothing is re-extracted).
         ``cache_dir`` instead builds a persistent
@@ -352,7 +352,8 @@ class VcoImpactAnalysis:
         campaign = self.spur_campaign(vtune_values, noise_frequencies)
         cache = _resolve_cache(cache, cache_dir)
         cache.seed(self.flow, options=self.options.flow)
-        runner = SweepRunner(self.technology, backend=backend, cache=cache)
+        runner = SweepRunner(self.technology, scheduler=scheduler,
+                             cache=cache)
         return runner.run(campaign).to_vco_sweep_result(
             measurements.FIG8_SLOPE_DB_PER_DECADE)
 
@@ -425,13 +426,16 @@ def _resolve_cache(cache, cache_dir):
     ``cache_dir`` builds a persistent on-disk cache under the directory.
     Passing both is ambiguous and rejected.
     """
-    from ..studies import DiskExtractionCache, ExtractionCache
+    from ..studies.cache import ExtractionCache
 
     if cache is not None and cache_dir is not None:
         raise AnalysisError(
             "pass either cache= (an existing cache instance) or cache_dir= "
             "(a directory for a DiskExtractionCache), not both")
     if cache_dir is not None:
+        # Only a persistent cache needs the disk store (and its journal).
+        from ..studies.store import DiskExtractionCache
+
         return DiskExtractionCache(cache_dir)
     return cache if cache is not None else ExtractionCache()
 
@@ -451,7 +455,7 @@ def ground_resistance_study(technology: ProcessTechnology,
                             options: VcoExperimentOptions | None = None,
                             width_scale: float = 2.0,
                             vtune: float = 0.0,
-                            backend=None, cache=None,
+                            scheduler=None, cache=None,
                             cache_dir=None) -> DesignStudyResult:
     """Figure 10: widen the ground interconnect and re-run the full flow.
 
@@ -460,7 +464,7 @@ def ground_resistance_study(technology: ProcessTechnology,
     are extracted through the shared cache — a repeated study against a warm
     ``cache`` (or a ``cache_dir`` populated by any earlier process) performs
     zero extractions — and the per-variant analyses can be sharded with a
-    parallel ``backend``.
+    multi-worker ``scheduler``.
     """
     from ..studies import Campaign, ParamSpace, SweepRunner
 
@@ -479,7 +483,7 @@ def ground_resistance_study(technology: ProcessTechnology,
                           "noise_frequency": frequencies}),
         base_spec=spec,
         options=options)
-    runner = SweepRunner(technology, backend=backend, cache=cache)
+    runner = SweepRunner(technology, scheduler=scheduler, cache=cache)
     sweep = runner.run(campaign)
 
     nominal_dbm = np.array([r.spur_power_dbm for r in sweep.select(variant=0)])

@@ -2,7 +2,7 @@
 
 The sweep runner accepts one :class:`CampaignObserver` and invokes its
 hooks from the parent process as the campaign advances (corner starts and
-retries come from the backend's ``on_start`` callback, finishes from
+retries come from the scheduler's ``on_start`` callback, finishes from
 ``on_result``).  :class:`CompositeObserver` fans the hooks out, so the CLI
 can record a run log *and* render a progress line in one pass.
 

@@ -16,7 +16,7 @@ labels::
                         {"count": 1, "sum": 0.42, "min": 0.42, "max": 0.42}}}
 
 The legacy record types (``SolverStats``, ``CacheStats``,
-``DiskCacheStats``, the backend retry counters and the degradation
+``DiskCacheStats``, the scheduler's retry counters and the degradation
 ladder counts) stay as-is for backward compatibility; the ``absorb_*``
 adapters translate them into registry counters so every layer reports
 through the same schema.
@@ -174,22 +174,24 @@ class MetricsRegistry:
             if count:
                 self.counter("solver.degradations", kind=kind).add(count)
 
-    def absorb_backend(self, backend) -> None:
-        """Fold the backends' retry bookkeeping in as counters."""
-        attempts = getattr(backend, "task_attempts", None)
-        if attempts:
-            values = (list(attempts.values()) if isinstance(attempts, dict)
-                      else list(attempts))
+    def absorb_backend(self, attempts, pool_rebuilds: int = 0,
+                       heartbeat_trips: int = 0) -> None:
+        """Fold execution bookkeeping in as counters.
+
+        ``attempts`` holds per-task attempt counts, as a list or an id-keyed
+        map; the rebuild and heartbeat-trip counts come from the scheduler.
+        """
+        values = (list(attempts.values()) if isinstance(attempts, dict)
+                  else list(attempts))
+        if values:
             self.counter("campaign.task_attempts").add(sum(values))
             retries = sum(n - 1 for n in values if n > 1)
             if retries:
                 self.counter("campaign.retries").add(retries)
-        rebuilds = getattr(backend, "pool_rebuilds", 0)
-        if rebuilds:
-            self.counter("campaign.pool_rebuilds").add(rebuilds)
-        trips = getattr(backend, "heartbeat_trips", 0)
-        if trips:
-            self.counter("campaign.heartbeat_trips").add(trips)
+        if pool_rebuilds:
+            self.counter("campaign.pool_rebuilds").add(pool_rebuilds)
+        if heartbeat_trips:
+            self.counter("campaign.heartbeat_trips").add(heartbeat_trips)
 
 
 registry = MetricsRegistry()

@@ -252,10 +252,10 @@ def collect_spans(context: TraceContext | None):
     """Record spans under ``context`` and yield the list that receives them.
 
     In a worker process (tracer disabled) this temporarily enables tracing
-    for the duration of the block; in-process (serial backend) it carves the
-    block's spans out of the live tracer so the caller can hand them through
-    the same ``TaskOutcome.spans`` channel without double counting — the
-    parent re-adopts them when the outcome is merged.
+    for the duration of the block; in-process (a one-worker scheduler) it
+    carves the block's spans out of the live tracer so the caller can hand
+    them through the same ``TaskOutcome.spans`` channel without double
+    counting — the parent re-adopts them when the outcome is merged.
     """
     sink: list[SpanRecord] = []
     if context is None:

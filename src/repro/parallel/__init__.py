@@ -1,10 +1,10 @@
-"""Unified shared-memory work scheduling.
+"""Work scheduling: one plan vocabulary, one scheduler, one process pool.
 
-One process pool (:mod:`~repro.parallel.pool`), one task vocabulary
-(:mod:`~repro.parallel.plan`), one dependency/priority-aware scheduler
-(:mod:`~repro.parallel.scheduler`) and one zero-copy data plane
-(:mod:`~repro.parallel.shm`).  The studies layer's ``ProcessPoolBackend`` is
-a thin adapter over :class:`WorkScheduler`.
+One task vocabulary (:mod:`~repro.parallel.plan`), one dependency/priority-
+aware scheduler (:mod:`~repro.parallel.scheduler`) that runs a plan in the
+calling process with one worker, and one persistent process pool
+(:mod:`~repro.parallel.pool`) it imports only for wider plans.  The sweep
+runner drives :class:`WorkScheduler` directly.
 """
 
 from .._lazy import attach
@@ -15,6 +15,4 @@ __getattr__, __dir__, __all__ = attach(__name__, {
     ".pool": ("MAX_WORKERS_ENV", "SharedProcessPool", "default_max_workers",
               "shared_pool"),
     ".scheduler": ("WorkScheduler",),
-    ".shm": ("ArenaHandle", "InlineArena", "ObjectShipper", "SharedArena",
-             "attach_arena", "load_object", "ship_object"),
 })

@@ -6,6 +6,10 @@ DAGs (extraction -> corner dependencies), so one pool's processes stay warm
 across campaigns and benchmark repetitions instead of paying fork+import per
 ``run()``.
 
+The scheduler imports this module only when a pool round starts (or a
+default width is asked for), so a serial run never loads
+:mod:`multiprocessing`.
+
 ``REPRO_MAX_WORKERS`` (environment) overrides the historical
 ``min(4, os.cpu_count())`` default everywhere a worker count is defaulted:
 :func:`default_max_workers` is the one place that decides.
@@ -77,17 +81,6 @@ class SharedProcessPool:
             self._executor.shutdown(wait=True, cancel_futures=True)
             self._executor = None
         if self._executor is None:
-            # Start the shared-memory resource tracker in THIS process before
-            # any worker forks.  A worker forked without a live tracker would
-            # lazily spawn its own on its first segment attach; that tracker
-            # dies with the worker (e.g. a recycle's SIGKILL) and unlinks
-            # every segment registered with it — yanking shared arenas out
-            # from under the parent and the surviving workers.
-            try:
-                from multiprocessing import resource_tracker
-                resource_tracker.ensure_running()
-            except ImportError:                        # pragma: no cover
-                pass
             self._executor = ProcessPoolExecutor(max_workers=n_workers)
             self._width = n_workers
         return self._executor

@@ -1,10 +1,8 @@
 """The unified work scheduler: one DAG, one pool, one failure policy.
 
 :class:`WorkScheduler` executes a plan of :class:`~repro.parallel.plan.WorkItem`\\ s
-on the :class:`~repro.parallel.pool.SharedProcessPool`.  It generalizes the
-retry / timeout / broken-pool machinery that previously lived inside
-``ProcessPoolBackend`` (which is now a thin adapter over this class) from a
-flat task list to a dependency graph:
+on the :class:`~repro.parallel.pool.SharedProcessPool`; it is the one
+execution path of the sweep runner, serial and parallel alike:
 
 * **priority/dependency-aware dispatch** — items become *ready* when their
   dependencies succeed and are dispatched lowest ``priority`` first
@@ -18,15 +16,18 @@ flat task list to a dependency graph:
 * **failure propagation** — an item whose dependency exhausts its attempts
   never runs; it inherits the dependency's :class:`TaskFailure` verbatim
   (the root cause), spending zero attempts.
-* **identical fault tolerance** — per-item retries, wall-clock
-  ``task_timeout`` with worker SIGKILL + pool recycle, broken-pool salvage
-  (completed results survive a crash), jittered exponential rebuild backoff,
-  and the ``abort`` / ``skip`` / ``retry_then_skip`` policies behave exactly
-  as the flat backend always did; ``KeyboardInterrupt`` / ``SystemExit``
+* **fault tolerance** — per-item retries and the ``abort`` / ``skip`` /
+  ``retry_then_skip`` policies behave the same in-process and on the pool;
+  the pool adds what only a separate process can give: wall-clock
+  ``task_timeout`` and heartbeats with worker SIGKILL + pool recycle,
+  broken-pool salvage (completed results survive a crash) and jittered
+  exponential rebuild backoff.  ``KeyboardInterrupt`` / ``SystemExit``
   always propagate.
 
 With a single effective worker the plan executes in-process (topological,
-priority-ordered) with the same retry semantics — no pool, no pickling.
+priority-ordered) with the same retry semantics — no pool, no pickling, and
+the process pool machinery (:mod:`concurrent.futures.process`,
+:mod:`multiprocessing`, :mod:`repro.parallel.pool`) is never imported.
 """
 
 from __future__ import annotations
@@ -35,10 +36,7 @@ import heapq
 import random
 import tempfile
 import time
-from concurrent.futures import FIRST_COMPLETED, wait
-from concurrent.futures.process import BrokenProcessPool
-from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from ..errors import AnalysisError, CampaignError, TaskTimeoutError
 from ..obs import get_logger
@@ -55,7 +53,9 @@ from .plan import (
     _task_label,
     validate_plan,
 )
-from .pool import SharedProcessPool, default_max_workers, shared_pool
+
+if TYPE_CHECKING:
+    from .pool import SharedProcessPool
 
 logger = get_logger(__name__)
 
@@ -69,8 +69,13 @@ class WorkScheduler:
 
     ``run(items, ...)`` returns ``{item id -> result | TaskFailure}``.  The
     per-item attempt counts of the most recent run live in ``attempts`` and
-    the pool rebuilds (crash or timeout recoveries) in ``pool_rebuilds`` —
-    the same churn bookkeeping the flat backend exposed, keyed by item id.
+    the pool rebuilds (crash or timeout recoveries) in ``pool_rebuilds``.
+
+    ``max_workers=1`` is the serial case: the plan runs in the calling
+    process and ``task_timeout`` / ``heartbeat_timeout`` cannot preempt (a
+    process-killing fault takes the caller down — there is no pool to
+    break).  The default width is
+    :func:`~repro.parallel.pool.default_max_workers`.
     """
 
     def __init__(self, max_workers: int | None = None, retries: int = 0,
@@ -89,14 +94,17 @@ class WorkScheduler:
             raise AnalysisError("heartbeat_timeout must be positive (seconds)")
         if backoff_base < 0 or backoff_max < 0:
             raise AnalysisError("backoff delays must be >= 0")
-        self.max_workers = max_workers or default_max_workers()
+        if max_workers is None:
+            from .pool import default_max_workers
+            max_workers = default_max_workers()
+        self.max_workers = max_workers
         self.retries = retries
         self.task_timeout = task_timeout
         self.heartbeat_timeout = heartbeat_timeout
         self.backoff_base = backoff_base
         self.backoff_max = backoff_max
         self._rng = random.Random(backoff_seed)
-        self._pool = pool if pool is not None else shared_pool()
+        self._pool = pool      # the shared pool, looked up at first use
         self._heartbeat: HeartbeatSpec | None = None
         if heartbeat_timeout is not None:
             # Workers stamp every timeout/4, so one lost stamp is noise and
@@ -182,15 +190,19 @@ class WorkScheduler:
                                    (child_item.priority, seq[child], child))
 
         def settle_failure(item_id: str, failure: TaskFailure) -> None:
-            if item_id in failed:
-                return
-            failed.add(item_id)
-            outcomes[item_id] = failure
             # Transitively doom the dependents with the *root* failure: a
-            # corner whose extraction failed reports the extraction's error,
-            # exactly as the two-phase runner always did.
-            for child in dependents[item_id]:
-                settle_failure(child, failure)
+            # corner whose extraction failed reports the extraction's error.
+            # Iterative on purpose: a recursive closure is a reference cycle
+            # that would keep every outcome of the run alive until the
+            # cyclic garbage collector happens by.
+            stack = [item_id]
+            while stack:
+                current = stack.pop()
+                if current in failed:
+                    continue
+                failed.add(current)
+                outcomes[current] = failure
+                stack.extend(reversed(dependents[current]))
 
         n_workers = min(self.max_workers, len(items))
         if n_workers == 1:
@@ -199,6 +211,9 @@ class WorkScheduler:
                              on_start)
             return outcomes
 
+        if self._pool is None:
+            from .pool import shared_pool
+            self._pool = shared_pool()
         resubmit: list[str] = []
         while ready or resubmit:
             unfinished, causes = self._pool_round(
@@ -230,10 +245,10 @@ class WorkScheduler:
                     on_start) -> None:
         """Single-worker path: run the plan in this process, no pool.
 
-        Mirrors the flat backends' in-process retry loop exactly:
-        ``Exception`` consumes attempts, ``KeyboardInterrupt`` /
-        ``SystemExit`` propagate immediately, the abort policy raises via
-        ``_give_up`` with the original exception chained.
+        Same retry semantics as a pool round: ``Exception`` consumes
+        attempts, ``KeyboardInterrupt`` / ``SystemExit`` propagate
+        immediately, the abort policy raises via ``_give_up`` with the
+        original exception chained.
         """
         while ready:
             _, _, item_id = heapq.heappop(ready)
@@ -270,6 +285,8 @@ class WorkScheduler:
     def _abort(self, by_id, exhausted: list[str],
                causes: dict[str, BaseException]) -> None:
         """Abort policy: blame the right item and raise."""
+        from concurrent.futures.process import BrokenProcessPool
+
         # Blame an item that failed on its own if there is one; the rest
         # merely shared a broken pool and may never have run, so they
         # are reported as unfinished rather than as the failure.
@@ -305,6 +322,9 @@ class WorkScheduler:
         pool itself persists across clean rounds and runs — only breakage
         recycles it.
         """
+        from concurrent.futures import FIRST_COMPLETED, wait
+        from concurrent.futures.process import BrokenProcessPool
+
         pool = self._pool.executor(n_workers)
         pending: dict = {}
         deadlines: dict = {}
@@ -447,6 +467,8 @@ class WorkScheduler:
         block on the hung task — :meth:`SharedProcessPool.recycle` does both.
         A heartbeat trip reuses this path with its own ``reason``.
         """
+        from concurrent.futures.process import BrokenProcessPool
+
         logger.warning(
             "task timeout: hung_tasks=%d task_timeout=%ss action=%s",
             len(hung), self.task_timeout, "kill workers, recycle pool")
@@ -492,6 +514,8 @@ class WorkScheduler:
         failed with its *own* exception keeps that exception as its blame
         (so an exhausted retry chains the real traceback, not the breakage).
         """
+        from concurrent.futures.process import BrokenProcessPool
+
         unfinished = [first_id] if first_id is not None else []
         causes = {first_id: breakage} if first_id is not None else {}
         for future, item_id in pending.items():
@@ -512,12 +536,11 @@ class WorkScheduler:
         return unfinished, causes
 
     def describe(self) -> str:
-        knobs = []
-        if self.retries:
-            knobs.append(f"retries={self.retries}")
+        """Label for reports: ``serial[...]`` or ``process-pool[N,...]``."""
+        knobs = [f"retries={self.retries}"] if self.retries else []
+        if self.max_workers == 1:
+            return f"serial[{knobs[0]}]" if knobs else "serial"
         if self.task_timeout is not None:
             knobs.append(f"timeout={self.task_timeout:g}s")
-        if self.heartbeat_timeout is not None:
-            knobs.append(f"heartbeat={self.heartbeat_timeout:g}s")
         suffix = ("," + ",".join(knobs)) if knobs else ""
-        return f"scheduler[{self.max_workers}{suffix}]"
+        return f"process-pool[{self.max_workers}{suffix}]"

@@ -12,14 +12,14 @@ package turns such studies into declarative campaigns executed by one engine:
 * :mod:`repro.studies.store` — the persistent :class:`DiskExtractionCache`
   (same protocol, entries survive the process; atomic, versioned,
   corruption-tolerant),
-* :mod:`repro.studies.backends` — :class:`SerialBackend` and the sharded
-  :class:`ProcessPoolBackend` behind one protocol, sharing task-level
-  retries, wall-clock timeouts, pool-rebuild backoff and the
-  abort/skip/retry_then_skip failure policies,
 * :mod:`repro.studies.runner` — the :class:`SweepRunner` orchestrating
   extraction reuse, task fan-out, corner-level resume, crash-safe
   checkpointing (:class:`CheckpointPolicy`) and structured
-  :class:`~repro.errors.CornerFailure` reporting,
+  :class:`~repro.errors.CornerFailure` reporting; it hands every campaign to
+  a :class:`~repro.parallel.scheduler.WorkScheduler` (one worker runs the
+  plan in-process, more shard it across processes with task-level retries,
+  wall-clock timeouts, pool-rebuild backoff and the
+  abort/skip/retry_then_skip failure policies),
 * :mod:`repro.studies.faults` — the deterministic :class:`FaultPlan`
   injection harness the fault-tolerance tests drive all of the above with,
 * :mod:`repro.studies.results` — the tidy :class:`SweepResult` store with
@@ -31,14 +31,15 @@ package turns such studies into declarative campaigns executed by one engine:
 
 Quickstart (see ``examples/spur_campaign.py`` for the narrated version)::
 
-    from repro.studies import Campaign, ParamSpace, ProcessPoolBackend, SweepRunner
+    from repro.parallel import WorkScheduler
+    from repro.studies import Campaign, ParamSpace, SweepRunner
     from repro.technology import make_technology
 
     campaign = Campaign(
         name="vtune_x_fnoise",
         space=ParamSpace({"vtune": (0.0, 0.75, 1.5),
                           "noise_frequency": (1e6, 5e6, 10e6)}))
-    runner = SweepRunner(make_technology(), backend=ProcessPoolBackend(2))
+    runner = SweepRunner(make_technology(), scheduler=WorkScheduler(2))
     result = runner.run(campaign)
     print(result.summary(), result.worst_spur().row())
 """
@@ -47,10 +48,9 @@ from .._lazy import attach
 
 __getattr__, __dir__, __all__ = attach(__name__, {
     "..errors": ("CampaignError", "CornerFailure", "TaskTimeoutError"),
-    ".backends": ("ON_ERROR_ABORT", "ON_ERROR_POLICIES",
-                  "ON_ERROR_RETRY_THEN_SKIP", "ON_ERROR_SKIP",
-                  "ProcessPoolBackend", "SerialBackend", "SweepBackend",
-                  "TaskFailure"),
+    "..parallel.plan": ("ON_ERROR_ABORT", "ON_ERROR_POLICIES",
+                        "ON_ERROR_RETRY_THEN_SKIP", "ON_ERROR_SKIP",
+                        "TaskFailure"),
     ".cache": ("CacheStats", "ExtractionCache", "extraction_key",
                "fingerprint"),
     ".faults": ("FaultPlan", "FaultSpec", "InjectedFault", "arm_crash_points",

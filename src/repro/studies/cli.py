@@ -45,9 +45,10 @@ supported Python — TOML parsing needs the stdlib ``tomllib`` of 3.11+)::
     backend = "reuse-lu"        # "direct" | "reuse-lu" (the same LU path)
 
     [execution]                 # defaults for the CLI flags
-    backend = "serial"          # or "process-pool"
-    max_workers = 2             # worker processes ("workers" is an alias);
-                                # unset: REPRO_MAX_WORKERS or min(4, cpus)
+    backend = "serial"          # one in-process worker; or "process-pool"
+    max_workers = 2             # pool worker processes ("workers" is an
+                                # alias); unset: REPRO_MAX_WORKERS or
+                                # min(4, cpus)
     retries = 0
     cache_dir = ".repro-cache"
     result = "fig8_result.npz"
@@ -102,13 +103,8 @@ from ..obs import (
     validate_trace_events,
 )
 from ..technology import make_technology
-from .backends import (
-    ON_ERROR_ABORT,
-    ON_ERROR_POLICIES,
-    ProcessPoolBackend,
-    SerialBackend,
-    SweepBackend,
-)
+from ..parallel.plan import ON_ERROR_ABORT, ON_ERROR_POLICIES
+from ..parallel.scheduler import WorkScheduler
 from .cache import ExtractionCache
 from .params import Campaign, ParamSpace
 from .persist import CampaignJournal, CheckpointPolicy, journal_path_for
@@ -175,14 +171,17 @@ class ExecutionSettings:
         """The configured pool width, or None for the environment default."""
         return self.workers if self.workers is not None else self.max_workers
 
-    def make_backend(self) -> SweepBackend:
+    def make_scheduler(self) -> WorkScheduler:
+        """The scheduler ``backend`` names: one in-process worker for
+        ``"serial"`` (no timeout or heartbeat: nothing to preempt), the
+        configured width for ``"process-pool"``."""
         if self.backend == "serial":
-            return SerialBackend(retries=self.retries)
+            return WorkScheduler(max_workers=1, retries=self.retries)
         if self.backend == "process-pool":
-            return ProcessPoolBackend(max_workers=self.effective_workers(),
-                                      retries=self.retries,
-                                      task_timeout=self.task_timeout,
-                                      heartbeat_timeout=self.heartbeat_seconds)
+            return WorkScheduler(max_workers=self.effective_workers(),
+                                 retries=self.retries,
+                                 task_timeout=self.task_timeout,
+                                 heartbeat_timeout=self.heartbeat_seconds)
         raise AnalysisError(
             f"unknown backend {self.backend!r} (choose 'serial' or "
             "'process-pool')")
@@ -493,7 +492,8 @@ def _launch(args: argparse.Namespace, resume: bool) -> int:
         else:
             print(f"no stored result at {npz_path}; starting fresh")
     cache = execution.make_cache()
-    runner = SweepRunner(make_technology(), backend=execution.make_backend(),
+    runner = SweepRunner(make_technology(),
+                         scheduler=execution.make_scheduler(),
                          cache=cache, on_error=execution.on_error)
     checkpoint = execution.make_checkpoint()
 

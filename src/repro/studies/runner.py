@@ -3,25 +3,23 @@
 ``SweepRunner`` turns a declarative :class:`~repro.studies.params.Campaign`
 into a :class:`~repro.studies.results.SweepResult`:
 
-1. resolve the campaign's layout/mesh axes into variants and obtain one
-   extracted :class:`~repro.core.flow.FlowResult` per variant through the
-   :class:`~repro.studies.cache.ExtractionCache` (layout-invariant sweeps hit
-   the cache after the first run; layout sweeps re-extract only the changed
-   variants),
+1. resolve the campaign's layout/mesh axes into variants and look each one
+   up in the :class:`~repro.studies.cache.ExtractionCache` (layout-invariant
+   sweeps hit the cache after the first run; layout sweeps re-extract only
+   the changed variants),
 2. build one :class:`SweepTask` per (variant, injected power, V_tune) —
    each task analyses all noise frequencies of the campaign in one AC sweep,
    which is the natural unit of work (one DC solve + one transfer function),
-3. execute the tasks on the configured backend (serial or sharded across
-   processes) and reassemble the per-point records *in task order*, so the
-   result is numerically identical whichever backend ran it.
+3. hand extractions and corners to the
+   :class:`~repro.parallel.scheduler.WorkScheduler` as one dependency-aware
+   plan and reassemble the per-point records *in task order*, so the result
+   is numerically identical whatever the worker count.
 
 ``_execute_task`` is a module-level function with picklable payloads, which
-is what lets :class:`~repro.studies.backends.ProcessPoolBackend` ship tasks
-to worker processes; the extracted flow rides along in the task (a few tens
-of kilobytes), so workers never re-extract.  Against a backend with a graph
-entry point (``run_graph``) the two phases fuse into one dependency-aware
-plan — extractions and corners share the scheduler's worker pool, and each
-variant's flow ships through shared memory once instead of per corner.
+is what lets a multi-worker scheduler ship tasks to worker processes; the
+extracted flow rides along in the task (a few tens of kilobytes), so
+workers never re-extract.  With one worker the plan runs in this process
+and flows pass by reference.
 """
 
 from __future__ import annotations
@@ -45,16 +43,10 @@ from ..obs import (
     tracer,
 )
 from ..technology.process import ProcessTechnology
-from .backends import (
-    ON_ERROR_ABORT,
-    SerialBackend,
-    SweepBackend,
-    TaskFailure,
-    _check_policy,
-)
+from ..parallel.plan import ON_ERROR_ABORT, TaskFailure, WorkItem, _check_policy
+from ..parallel.scheduler import WorkScheduler
 from .cache import CacheStats, ExtractionCache
 from .params import Campaign, LayoutVariant
-from .persist import CampaignJournal, CheckpointPolicy
 from .results import PointRecord, SweepResult, VariantRecord
 
 if TYPE_CHECKING:
@@ -62,6 +54,7 @@ if TYPE_CHECKING:
     from ..layout.testchips import VcoLayoutSpec
     from ..obs import CampaignObserver
     from .faults import FaultPlan
+    from .persist import CampaignJournal, CheckpointPolicy
 
 logger = get_logger(__name__)
 
@@ -85,14 +78,10 @@ class SweepTask:
     #: per-run trace handle re-parenting worker spans under the campaign
     #: root; ``None`` whenever tracing is disabled.
     trace: "TraceContext | None" = None
-    #: shared-memory reference resolving to ``flow`` (graph scheduling ships
-    #: each variant's extracted flow *once* instead of per corner); exactly
-    #: one of ``flow`` / ``flow_ref`` is set on a dispatched task.
-    flow_ref: object | None = None
 
     # Excluded from content hashing: the same corner must fingerprint
-    # identically with and without tracing, and however its flow travelled.
-    __fingerprint_exclude__ = ("trace", "flow_ref")
+    # identically with and without tracing.
+    __fingerprint_exclude__ = ("trace",)
 
     def corner_label(self) -> str:
         """Human-readable corner identity (used in failure messages)."""
@@ -170,21 +159,15 @@ def _execute_task(task: SweepTask) -> TaskOutcome:
     # Local import: repro.core.vco_experiment uses the studies package for its
     # own sweeps, so the dependency must not be circular at import time.
     from ..core.vco_experiment import VcoImpactAnalysis
-    from ..parallel.shm import load_object
     from ..simulator.solver import SolverStats
     from ..simulator.solver import stats as solver_stats
-
-    if task.flow is None and task.flow_ref is not None:
-        # Graph scheduling ships the variant's flow through shared memory;
-        # the worker-side cache makes this one unpickle per variant.
-        task = replace(task, flow=load_object(task.flow_ref), flow_ref=None)
 
     before = {name: getattr(solver_stats, name)
               for name in SolverStats.DEGRADATION_COUNTERS}
     t0 = time.perf_counter()
     # collect_spans parents this task's spans under the campaign root span
     # (shipped in ``task.trace``) and hands them back through the outcome —
-    # in a worker process *and*, identically, in the serial backend.
+    # in a worker process *and*, identically, in the calling process.
     with collect_spans(task.trace) as span_sink:
         with trace_span("campaign.corner", index=task.index,
                         variant=task.variant_index,
@@ -250,15 +233,18 @@ class _Checkpointer:
 
 
 class SweepRunner:
-    """Runs campaigns against a backend and an extraction cache.
+    """Runs campaigns on a work scheduler against an extraction cache.
 
     One runner can execute many campaigns; sharing its cache across campaigns
     is how a design session avoids re-extracting layouts it has already seen
     (the counters on ``runner.cache.stats`` record the traffic).
 
-    ``on_error`` selects the campaign failure policy (``"abort"``, ``"skip"``
-    or ``"retry_then_skip"``): under the skip policies a corner that exhausts
-    its attempts becomes a structured
+    ``scheduler`` decides where the work runs: the default
+    ``WorkScheduler(max_workers=1)`` runs the plan in this process, a wider
+    one on worker processes (with task timeouts and heartbeats for
+    isolation).  ``on_error`` selects the campaign failure policy
+    (``"abort"``, ``"skip"`` or ``"retry_then_skip"``): under the skip
+    policies a corner that exhausts its attempts becomes a structured
     :class:`~repro.errors.CornerFailure` on the (partial) result instead of
     aborting the run.  ``fault_plan`` injects deterministic faults into the
     sweep tasks (see :mod:`repro.studies.faults`) — test-harness machinery,
@@ -266,12 +252,13 @@ class SweepRunner:
     """
 
     def __init__(self, technology: ProcessTechnology,
-                 backend: SweepBackend | None = None,
+                 scheduler: WorkScheduler | None = None,
                  cache: ExtractionCache | None = None, *,
                  on_error: str = ON_ERROR_ABORT,
                  fault_plan: "FaultPlan | None" = None):
         self.technology = technology
-        self.backend = SerialBackend() if backend is None else backend
+        self.scheduler = WorkScheduler(max_workers=1) if scheduler is None \
+            else scheduler
         # Explicit None check: an empty cache is falsy (it has __len__).
         self.cache = ExtractionCache() if cache is None else cache
         self.on_error = _check_policy(on_error)
@@ -326,88 +313,32 @@ class SweepRunner:
                         self.cache, "lease_stale_seconds", 30.0))
         return keys, resolved, hits, pending
 
-    def _extract_variants(self, campaign: Campaign,
-                          variants: list[LayoutVariant],
-                          ) -> tuple[list[VariantRecord],
-                                     dict[int, TaskFailure]]:
-        """Resolve every variant to a flow, extracting cache misses in bulk.
-
-        The misses are fanned out through the campaign backend: on a cold
-        layout sweep with a process-pool backend, the per-variant extractions
-        (the expensive half of a study) run in parallel, not just the
-        simulations.  (Backends with a graph entry point skip this phase
-        barrier entirely — see :meth:`_run_graph`.)
-
-        Under a skip policy an extraction that exhausts its attempts does not
-        abort: its variants come back with ``flow=None`` and the second
-        return value maps each affected variant index to the
-        :class:`~repro.studies.backends.TaskFailure` (the runner turns those
-        into per-corner failure records).
-        """
-        keys, resolved, hits, pending = self._plan_extractions(campaign,
-                                                               variants)
-        failed_keys: dict[str, TaskFailure] = {}
-        tasks = list(pending.values())
-        for key, flow in zip(pending, self.backend.run(_execute_extraction,
-                                                       tasks,
-                                                       on_error=self.on_error)):
-            if isinstance(flow, TaskFailure):
-                failed_keys[key] = flow
-                continue
-            self.cache.store(key, flow)
-            resolved[key] = flow
-        failures = {variant.index: failed_keys[key]
-                    for variant, key in zip(variants, keys)
-                    if key in failed_keys}
-        return ([VariantRecord(index=variant.index,
-                               knobs=dict(variant.knobs),
-                               spec=variant.spec,
-                               cache_key=key,
-                               flow=resolved.get(key),
-                               from_cache=key in hits)
-                 for variant, key in zip(variants, keys)],
-                failures)
-
     # -- task fan-out --------------------------------------------------------
 
     def _build_tasks(self, campaign: Campaign,
                      variants: list[LayoutVariant],
                      extracted: list[VariantRecord],
                      skip: frozenset[tuple[int, float, float]] = frozenset(),
-                     unavailable: frozenset[int] = frozenset(),
-                     deferred: frozenset[int] = frozenset(),
                      ) -> list[SweepTask]:
         """One task per pending (variant, power, vtune) corner.
 
         ``skip`` holds corners an earlier (persisted) run already completed;
         their tasks are omitted but the deterministic global point indexing
         still advances past them, so merged records line up exactly with a
-        never-interrupted run.  ``unavailable`` holds variant indices whose
-        extraction failed under a skip policy — their corners are omitted too
-        (the runner records them as failures instead).  ``deferred`` holds
-        variant indices whose extraction runs *inside* the same work plan as
-        the corners (graph scheduling): their tasks are legitimately built
-        with ``flow=None`` and receive the flow through the scheduler's
+        never-interrupted run.  Tasks of a variant still to be extracted are
+        built with ``flow=None`` and receive the flow through the plan's
         dependency binding just before dispatch.
         """
         powers, vtunes, frequencies = campaign.sim_grid()
         tasks: list[SweepTask] = []
         point_index = 0
         for variant, record in zip(variants, extracted):
-            if variant.index in unavailable:
-                point_index += len(powers) * len(vtunes) * len(frequencies)
-                continue
             for power in powers:
                 options = replace(campaign.options,
                                   injected_power_dbm=power,
                                   flow=variant.flow_options)
                 for vtune in vtunes:
                     if (variant.index, power, vtune) not in skip:
-                        if (record.flow is None
-                                and variant.index not in deferred):
-                            raise AnalysisError(
-                                f"variant {variant.index} has pending corners "
-                                "but no extracted flow (corrupt resume state)")
                         tasks.append(SweepTask(
                             index=len(tasks),
                             variant_index=variant.index,
@@ -551,6 +482,10 @@ class SweepRunner:
 
         checkpointer: _Checkpointer | None = None
         if checkpoint is not None:
+            # Only a checkpointed run needs the journal (and its pickle /
+            # subprocess / shutil imports).
+            from .persist import CampaignJournal
+
             fingerprint = campaign.fingerprint()
             recovered = CampaignJournal.recover(checkpoint.path,
                                                 fingerprint=fingerprint)
@@ -579,43 +514,21 @@ class SweepRunner:
             variant for variant in variants
             if any((variant.index, power, vtune) not in done
                    for power in powers for vtune in vtunes)]
-        # Backends exposing a graph entry point (the scheduler-backed pool)
-        # run extractions and corners as ONE dependency-aware plan: corners
-        # of cached variants overlap with extractions still running instead
-        # of waiting behind the two-phase barrier below.
-        use_graph = callable(getattr(self.backend, "run_graph", None))
-        failed_extractions: dict[int, TaskFailure] = {}
-        graph_keys: list[str] = []
-        graph_resolved: dict[str, FlowResult] = {}
-        graph_pending: dict[str, ExtractionTask] = {}
-        deferred: frozenset[int] = frozenset()
-        if use_graph:
-            (graph_keys, graph_resolved, graph_hits,
-             graph_pending) = self._plan_extractions(campaign,
-                                                     pending_variants)
-            deferred = frozenset(
-                variant.index
-                for variant, key in zip(pending_variants, graph_keys)
-                if key in graph_pending)
-            extracted_records = [
-                VariantRecord(index=variant.index,
-                              knobs=dict(variant.knobs),
-                              spec=variant.spec, cache_key=key,
-                              flow=graph_resolved.get(key),
-                              from_cache=key in graph_hits)
-                for variant, key in zip(pending_variants, graph_keys)]
-        else:
-            extracted_records, failed_extractions = self._extract_variants(
-                campaign, pending_variants)
-        extracted = {record.index: record for record in extracted_records}
+        keys, resolved, hits, pending = self._plan_extractions(
+            campaign, pending_variants)
+        extracted = {
+            variant.index: VariantRecord(index=variant.index,
+                                         knobs=dict(variant.knobs),
+                                         spec=variant.spec, cache_key=key,
+                                         flow=resolved.get(key),
+                                         from_cache=key in hits)
+            for variant, key in zip(pending_variants, keys)}
         variant_records = [
             extracted.get(variant.index)
             or self._carried_variant(variant, resume_from)
             for variant in variants]
         tasks = self._build_tasks(campaign, variants, variant_records,
-                                  skip=done,
-                                  unavailable=frozenset(failed_extractions),
-                                  deferred=deferred)
+                                  skip=done)
         if tracer.enabled:
             # Same context for every task: all corners of this run hang
             # directly off the campaign root span.
@@ -632,25 +545,7 @@ class SweepRunner:
         logger.info(
             "campaign start: name=%s pending_corners=%d prior_corners=%d "
             "backend=%s", campaign.name, len(tasks), len(done),
-            self.backend.describe())
-
-        # One failure record per pending corner of a failed extraction: the
-        # corner never ran, and a later ``resume`` re-attempts exactly it.
-        failures: list[CornerFailure] = []
-        for variant in variants:
-            extraction_failure = failed_extractions.get(variant.index)
-            if extraction_failure is None:
-                continue
-            for power in powers:
-                for vtune in vtunes:
-                    if (variant.index, power, vtune) in done:
-                        continue
-                    failure = extraction_failure.as_corner_failure(
-                        variant_index=variant.index,
-                        injected_power_dbm=power, vtune=vtune)
-                    failures.append(failure)
-                    if observer is not None:
-                        observer.corner_failed(failure)
+            self.scheduler.describe())
 
         def handle_result(index: int, outcome: TaskOutcome) -> None:
             if checkpointer is not None:
@@ -666,38 +561,25 @@ class SweepRunner:
                 observer.corner_started(tasks[index], attempt)
 
         try:
-            if use_graph:
-                outcomes = self._run_graph(tasks, pending_variants,
-                                           graph_keys, graph_resolved,
-                                           graph_pending, handle_result,
-                                           handle_start)
-            else:
-                outcomes = self.backend.run(self._task_fn(), tasks,
-                                            on_error=self.on_error,
-                                            on_result=handle_result,
-                                            on_start=handle_start)
+            outcomes, attempts = self._run_plan(
+                tasks, extracted, resolved, pending, handle_result,
+                handle_start)
         finally:
             # Journal every corner that completed, even when aborting: the
             # next run recovers them instead of recomputing.
             if checkpointer is not None:
                 checkpointer.flush()
 
-        if use_graph and graph_pending:
-            # Backfill the variant records of freshly extracted variants:
-            # their flows arrived through the plan, after the records were
-            # built (flows of variants that failed to extract stay None,
-            # exactly like the two-phase path).
-            refreshed = {record.index: record for record in variant_records}
-            for variant, key in zip(pending_variants, graph_keys):
-                record = refreshed[variant.index]
-                if record.flow is None and key in graph_resolved:
-                    refreshed[variant.index] = replace(
-                        record, flow=graph_resolved[key])
-            variant_records = [refreshed[variant.index]
-                               for variant in variants]
+        # Freshly extracted flows arrived through the plan, after the records
+        # were built; a variant whose extraction failed keeps ``flow=None``.
+        variant_records = [
+            replace(record, flow=resolved.get(record.cache_key))
+            if record.flow is None and record.index in extracted else record
+            for record in variant_records]
 
         degradations: dict[str, int] = dict(
             resume_from.solver_degradations) if resume_from else {}
+        failures: list[CornerFailure] = []
         successes: list[TaskOutcome] = []
         # Position-keyed, not ``outcome.index``-keyed: a corner doomed by a
         # failed extraction inherits the extraction's TaskFailure verbatim,
@@ -727,10 +609,11 @@ class SweepRunner:
             cache_misses=self.cache.misses - misses_before,
             degradations=degradations,
             successes=successes,
+            attempts=attempts,
             trace_mark=trace_mark)
         return SweepResult(
             campaign_name=campaign.name,
-            backend_name=self.backend.describe(),
+            backend_name=self.scheduler.describe(),
             axes=campaign.resolved_axes(),
             records=records,
             variants=variant_records,
@@ -742,61 +625,39 @@ class SweepRunner:
             solver_degradations=degradations,
             telemetry=telemetry)
 
-    def _run_graph(self, tasks: list[SweepTask],
-                   pending_variants: list[LayoutVariant],
-                   keys: list[str],
-                   resolved: "dict[str, FlowResult]",
-                   pending: dict[str, ExtractionTask],
-                   handle_result, handle_start):
+    def _run_plan(self, tasks: list[SweepTask],
+                  extracted: dict[int, VariantRecord],
+                  resolved: dict[str, FlowResult],
+                  pending: dict[str, ExtractionTask],
+                  handle_result, handle_start) -> tuple[list, list[int]]:
         """Execute extractions and corners as one dependency-aware plan.
 
         Extraction items (``x<j>``, one per distinct cache key, priority 0)
-        and corner items (``c<i>``, priority 1) go down the scheduler
-        together; corners of a cache-missing variant depend on its extraction
-        item and receive the flow through the item's ``bind`` hook just
-        before dispatch.  With real worker processes involved, each variant's
-        flow ships through shared memory **once**
-        (:class:`~repro.parallel.shm.ObjectShipper`) and every corner carries
-        only a tiny reference; the inline single-worker plan passes flows by
-        reference instead.  Returns the corner outcomes in task order —
-        numerically identical to the two-phase path.
+        and corner items (``c<i>``, priority 1) go to the scheduler together;
+        corners of a cache-missing variant depend on its extraction item and
+        receive the flow through the item's ``bind`` hook just before
+        dispatch — by reference in this process, pickled with the task to a
+        worker.  Returns the corner outcomes and attempt counts in task order.
         """
-        from ..parallel.plan import WorkItem
-        from ..parallel.shm import ObjectShipper
-
-        key_by_variant = {variant.index: key
-                          for variant, key in zip(pending_variants, keys)}
         xid_by_key = {key: f"x{position}"
                       for position, key in enumerate(pending)}
         key_by_xid = {xid: key for key, xid in xid_by_key.items()}
-        n_items = len(pending) + len(tasks)
-        ship = min(getattr(self.backend, "max_workers", 1), n_items) > 1
-        shipper = ObjectShipper()
         task_fn = self._task_fn()
 
         items = [WorkItem(id=xid_by_key[key], fn=_execute_extraction,
                           payload=extraction, priority=0)
                  for key, extraction in pending.items()]
         for position, task in enumerate(tasks):
-            key = key_by_variant[task.variant_index]
+            xid = xid_by_key.get(extracted[task.variant_index].cache_key)
             deps: tuple[str, ...] = ()
             bind = None
-            payload = task
-            if key in xid_by_key:
-                xid = xid_by_key[key]
+            if xid is not None:
                 deps = (xid,)
-                if ship:
-                    def bind(payload, dep_results, key=key, xid=xid):
-                        return replace(payload, flow_ref=shipper.ref_for(
-                            key, dep_results[xid]))
-                else:
-                    def bind(payload, dep_results, xid=xid):
-                        return replace(payload, flow=dep_results[xid])
-            elif ship and task.flow is not None:
-                payload = replace(task, flow=None,
-                                  flow_ref=shipper.ref_for(key, task.flow))
+
+                def bind(payload, dep_results, xid=xid):
+                    return replace(payload, flow=dep_results[xid])
             items.append(WorkItem(id=f"c{position}", fn=task_fn,
-                                  payload=payload, deps=deps, priority=1,
+                                  payload=task, deps=deps, priority=1,
                                   bind=bind))
 
         def on_result(item_id: str, value) -> None:
@@ -804,7 +665,7 @@ class SweepRunner:
                 key = key_by_xid[item_id]
                 self.cache.store(key, value)
                 resolved[key] = value
-            elif handle_result is not None:
+            else:
                 handle_result(int(item_id[1:]), value)
 
         on_start = None
@@ -813,30 +674,27 @@ class SweepRunner:
                 if item_id.startswith("c"):
                     handle_start(int(item_id[1:]), attempt)
 
-        try:
-            outcome_map = self.backend.run_graph(
-                items, on_error=self.on_error, on_result=on_result,
-                on_start=on_start,
-                flat_ids=[f"c{position}" for position in range(len(tasks))])
-        finally:
-            # Workers that still hold a mapped segment keep it alive; the
-            # parent-side dispose only unlinks the names.
-            shipper.close()
-        return [outcome_map[f"c{position}"]
-                for position in range(len(tasks))]
+        outcome_map = self.scheduler.run(items, on_error=self.on_error,
+                                         on_result=on_result,
+                                         on_start=on_start)
+        corner_ids = [f"c{position}" for position in range(len(tasks))]
+        return ([outcome_map[item_id] for item_id in corner_ids],
+                [self.scheduler.attempts[item_id] for item_id in corner_ids])
 
     def _build_telemetry(self, *, solver_before: dict[str, int],
                          cache_hits: int, cache_misses: int,
                          degradations: dict[str, int],
                          successes: list[TaskOutcome],
+                         attempts: list[int],
                          trace_mark: int) -> dict:
         """Per-run metrics in the one ``MetricsRegistry.snapshot()`` schema.
 
         Built on a fresh registry so every number is a delta of *this* run,
         not a process-lifetime accumulation.  The solver counters cover the
-        in-process solver traffic (all of it under the serial backend;
-        extraction-only under a process pool, where the workers' degradation
-        deltas come home through the task outcomes instead).
+        in-process solver traffic (all of it with one worker; extraction-only
+        on a process pool, where the workers' degradation deltas come home
+        through the task outcomes instead).  ``attempts`` holds the corners'
+        attempt counts: extraction items are not campaign tasks.
         """
         from ..simulator.solver import SolverStats
         from ..simulator.solver import stats as solver_stats
@@ -850,7 +708,9 @@ class SweepRunner:
         reg.absorb_cache_stats(CacheStats(hits=cache_hits,
                                           misses=cache_misses))
         reg.absorb_degradations(degradations)
-        reg.absorb_backend(self.backend)
+        reg.absorb_backend(attempts,
+                           pool_rebuilds=self.scheduler.pool_rebuilds,
+                           heartbeat_trips=self.scheduler.heartbeat_trips)
         for outcome in successes:
             if outcome.seconds:
                 reg.histogram("campaign.corner_seconds").observe(

@@ -99,3 +99,22 @@ def run_fresh():
         return json.loads(proc.stdout.strip().splitlines()[-1])
 
     return run
+
+
+@pytest.fixture
+def run_tasks():
+    """Run ``fn`` over ``tasks`` on a scheduler as a dependency-free plan.
+
+    Item ids are the task positions (``"0"``, ``"1"``, ...), so the
+    scheduler's ``attempts`` and ``on_start`` ids name positions; outcomes
+    come back as a list in task order.
+    """
+    from repro.parallel import WorkItem
+
+    def run(scheduler, fn, tasks, **kwargs) -> list:
+        outcomes = scheduler.run(
+            [WorkItem(id=str(index), fn=fn, payload=task)
+             for index, task in enumerate(tasks)], **kwargs)
+        return [outcomes[str(index)] for index in range(len(tasks))]
+
+    return run

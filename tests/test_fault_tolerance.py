@@ -40,6 +40,7 @@ from repro.errors import (
     CornerFailure,
 )
 from repro.netlist.circuit import Circuit
+from repro.parallel import WorkScheduler
 from repro.simulator import solver as solver_module
 from repro.simulator.dc import DcOptions, dc_operating_point
 from repro.studies import (
@@ -51,8 +52,6 @@ from repro.studies import (
     FaultSpec,
     InjectedFault,
     ParamSpace,
-    ProcessPoolBackend,
-    SerialBackend,
     SweepResult,
     SweepRunner,
     TaskFailure,
@@ -123,23 +122,25 @@ def test_fault_plan_counts_attempts_across_processes(tmp_path):
     assert plan.attempts_seen(0) == 3
 
 
-def test_serial_backend_retries_through_injected_faults(tmp_path):
+def test_serial_backend_retries_through_injected_faults(tmp_path, run_tasks):
     plan = FaultPlan(state_dir=str(tmp_path / "state"),
                      specs=(FaultSpec("raise", task_index=1, attempts=2),))
-    backend = SerialBackend(retries=2)
-    results = backend.run(plan.wrap(_echo), [_EchoTask(0), _EchoTask(1)])
+    scheduler = WorkScheduler(max_workers=1, retries=2)
+    results = run_tasks(scheduler, plan.wrap(_echo),
+                        [_EchoTask(0), _EchoTask(1)])
     assert results == [0, 10]
-    assert backend.task_attempts == [1, 3]
+    assert scheduler.attempts == {"0": 1, "1": 3}
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_keyboard_interrupt_is_never_swallowed(tmp_path, workers):
+def test_keyboard_interrupt_is_never_swallowed(tmp_path, workers, run_tasks):
     # Whatever the policy and retry budget, a Ctrl-C must stop the campaign
-    # — on the serial path, the single-worker in-process path and the pool.
-    backend = ProcessPoolBackend(max_workers=workers, retries=3) \
-        if workers > 1 else SerialBackend(retries=3)
+    # — on the in-process single-worker path and on the pool.
+    scheduler = WorkScheduler(max_workers=workers, retries=3)
+    # Two tasks, so the 2-worker scheduler really starts a pool round.
     with pytest.raises(KeyboardInterrupt):
-        backend.run(_interrupt, [_EchoTask(0)], on_error="skip")
+        run_tasks(scheduler, _interrupt, [_EchoTask(0), _EchoTask(1)],
+                  on_error="skip")
 
 
 # -- timeouts and backoff ------------------------------------------------------
@@ -151,51 +152,54 @@ def _hang_plan(tmp_path, attempts: int) -> FaultPlan:
                                       hang_seconds=60.0),))
 
 
-def test_hung_task_trips_timeout_and_retry_completes(tmp_path):
+def test_hung_task_trips_timeout_and_retry_completes(tmp_path, run_tasks):
     plan = _hang_plan(tmp_path, attempts=1)
-    backend = ProcessPoolBackend(max_workers=2, retries=1, task_timeout=1.0,
-                                 backoff_base=0.01, backoff_seed=7)
+    scheduler = WorkScheduler(max_workers=2, retries=1, task_timeout=1.0,
+                              backoff_base=0.01, backoff_seed=7)
     start = time.monotonic()
-    results = backend.run(plan.wrap(_echo), [_EchoTask(0), _EchoTask(1)])
+    results = run_tasks(scheduler, plan.wrap(_echo),
+                        [_EchoTask(0), _EchoTask(1)])
     assert results == [0, 10]
-    assert backend.task_attempts[0] == 2       # first attempt hung
-    assert backend.pool_rebuilds >= 1          # the hung pool was recycled
+    assert scheduler.attempts["0"] == 2        # first attempt hung
+    assert scheduler.pool_rebuilds >= 1        # the hung pool was recycled
     assert time.monotonic() - start < 30.0     # detected, not waited out
 
 
-def test_permanently_hung_task_aborts_with_timeout_failure(tmp_path):
+def test_permanently_hung_task_aborts_with_timeout_failure(tmp_path,
+                                                           run_tasks):
     plan = _hang_plan(tmp_path, attempts=5)
-    backend = ProcessPoolBackend(max_workers=2, retries=0, task_timeout=1.0,
-                                 backoff_base=0.01)
+    scheduler = WorkScheduler(max_workers=2, retries=0, task_timeout=1.0,
+                              backoff_base=0.01)
     with pytest.raises(CampaignError) as excinfo:
-        backend.run(plan.wrap(_echo), [_EchoTask(0), _EchoTask(1)])
+        run_tasks(scheduler, plan.wrap(_echo), [_EchoTask(0), _EchoTask(1)])
     [failure] = [f for f in excinfo.value.failures if f.timed_out]
     assert "echo task 0" in failure.label
     assert isinstance(excinfo.value, AnalysisError)   # hierarchy holds
     assert isinstance(excinfo.value.__cause__, TimeoutError)
 
 
-def test_skip_policy_records_timeout_and_keeps_going(tmp_path):
+def test_skip_policy_records_timeout_and_keeps_going(tmp_path, run_tasks):
     plan = _hang_plan(tmp_path, attempts=5)
-    backend = ProcessPoolBackend(max_workers=2, retries=2, task_timeout=1.0,
-                                 backoff_base=0.01)
-    results = backend.run(plan.wrap(_echo),
-                          [_EchoTask(0), _EchoTask(1), _EchoTask(2)],
-                          on_error="skip")
+    scheduler = WorkScheduler(max_workers=2, retries=2, task_timeout=1.0,
+                              backoff_base=0.01)
+    results = run_tasks(scheduler, plan.wrap(_echo),
+                        [_EchoTask(0), _EchoTask(1), _EchoTask(2)],
+                        on_error="skip")
     assert results[1:] == [10, 20]
     failure = results[0]
     assert isinstance(failure, TaskFailure) and failure.timed_out
     assert failure.attempts == 1               # skip = single attempt
 
 
-def test_worker_killing_fault_breaks_pool_and_is_retried(tmp_path):
+def test_worker_killing_fault_breaks_pool_and_is_retried(tmp_path, run_tasks):
     plan = FaultPlan(state_dir=str(tmp_path / "state"),
                      specs=(FaultSpec("exit", task_index=0, attempts=1),))
-    backend = ProcessPoolBackend(max_workers=2, retries=1, backoff_base=0.01)
-    results = backend.run(plan.wrap(_echo), [_EchoTask(0), _EchoTask(1)])
+    scheduler = WorkScheduler(max_workers=2, retries=1, backoff_base=0.01)
+    results = run_tasks(scheduler, plan.wrap(_echo),
+                        [_EchoTask(0), _EchoTask(1)])
     assert results == [0, 10]
-    assert backend.task_attempts[0] == 2
-    assert backend.pool_rebuilds >= 1
+    assert scheduler.attempts["0"] == 2
+    assert scheduler.pool_rebuilds >= 1
 
 
 # -- acceptance (a): a hung campaign corner completes identically -------------
@@ -206,14 +210,14 @@ def test_campaign_survives_hung_corner(technology, ft_campaign, reference):
     plan = FaultPlan(state_dir=str(cache_dir / "hang-state"),
                      specs=(FaultSpec("hang", task_index=0, attempts=1,
                                       hang_seconds=120.0),))
-    backend = ProcessPoolBackend(max_workers=2, retries=1, task_timeout=8.0,
-                                 backoff_base=0.01)
-    runner = SweepRunner(technology, backend=backend,
+    scheduler = WorkScheduler(max_workers=2, retries=1, task_timeout=8.0,
+                              backoff_base=0.01)
+    runner = SweepRunner(technology, scheduler=scheduler,
                          cache=DiskExtractionCache(cache_dir),
                          fault_plan=plan)
     result = runner.run(ft_campaign)
     assert not result.failures
-    assert backend.task_attempts[0] == 2
+    assert scheduler.attempts["c0"] == 2
     np.testing.assert_array_equal(result.column("spur_power_dbm"),
                                   healthy.column("spur_power_dbm"))
 
@@ -227,7 +231,8 @@ def test_skip_policy_partial_result_show_and_resume(
     plan = FaultPlan(state_dir=str(tmp_path / "state"),
                      specs=(FaultSpec("raise", task_index=0, attempts=99,
                                       message="injected corner failure"),))
-    runner = SweepRunner(technology, backend=SerialBackend(retries=1),
+    runner = SweepRunner(technology,
+                         scheduler=WorkScheduler(max_workers=1, retries=1),
                          cache=DiskExtractionCache(cache_dir),
                          fault_plan=plan, on_error="retry_then_skip")
     partial = runner.run(ft_campaign)
@@ -259,33 +264,6 @@ def test_skip_policy_partial_result_show_and_resume(
     assert resumed.complete and len(resumed.records) == 4
     np.testing.assert_array_equal(resumed.column("spur_power_dbm"),
                                   healthy.column("spur_power_dbm"))
-
-
-def test_skip_policy_records_failed_extraction(technology, ft_campaign,
-                                               tmp_path):
-    plan = FaultPlan(state_dir=str(tmp_path / "state"),
-                     specs=(FaultSpec("raise", task_index=0, attempts=99),))
-
-    class _FaultyExtractionBackend(SerialBackend):
-        """Injects the plan into extraction tasks too (they carry no
-        ``index`` attribute, so the campaign-level plan skips them)."""
-
-        def run(self, fn, tasks, **kwargs):
-            def sabotaged(task):
-                plan.inject(_EchoTask(0))
-                return fn(task)
-            return super().run(sabotaged, tasks, **kwargs)
-
-    runner = SweepRunner(technology, backend=_FaultyExtractionBackend(),
-                         on_error="skip")
-    result = runner.run(ft_campaign)
-    assert not result.records
-    assert len(result.failures) == 2           # one per pending corner
-    assert all(f.error_type == "InjectedFault" for f in result.failures)
-    assert {f.vtune for f in result.failures} == {0.0, 0.75}
-    # The partial result round-trips even with zero records.
-    saved, _ = result.save(tmp_path / "empty.npz")
-    assert len(SweepResult.load(saved).failures) == 2
 
 
 def test_cli_exits_3_on_partial_result(tmp_path, monkeypatch, capsys):
@@ -338,14 +316,10 @@ raise SystemExit("unreachable: the injected fault must kill the process")
 """
 
 
-class _CountingSerialBackend(SerialBackend):
-    def __init__(self):
-        super().__init__()
-        self.executed = 0
-
-    def run(self, fn, tasks, **kwargs):
-        self.executed += len(tasks)
-        return super().run(fn, tasks, **kwargs)
+def _corner_attempts(scheduler: WorkScheduler) -> int:
+    """Corner attempts of the scheduler's last run (extractions excluded)."""
+    return sum(count for item_id, count in scheduler.attempts.items()
+               if item_id.startswith("c"))
 
 
 def test_killed_campaign_resumes_from_journal_bit_identically(
@@ -370,13 +344,13 @@ def test_killed_campaign_resumes_from_journal_bit_identically(
     assert {r.vtune for r in recovered} == {0.0}
 
     # Resume recomputes only the lost corner...
-    backend = _CountingSerialBackend()
-    runner = SweepRunner(technology, backend=backend,
+    scheduler = WorkScheduler(max_workers=1)
+    runner = SweepRunner(technology, scheduler=scheduler,
                          cache=DiskExtractionCache(cache_dir))
     resumed = runner.run(ft_campaign,
                          checkpoint=CheckpointPolicy(path=journal_dir,
                                                      every_corners=1))
-    assert backend.executed == 1
+    assert _corner_attempts(scheduler) == 1
     assert resumed.complete and len(resumed.records) == 4
 
     # ... and the saved arrays are byte-identical to an uninterrupted run.

@@ -1,4 +1,5 @@
-"""Import budget of a campaign process: scipy loads only on the sparse paths.
+"""Import budget of a campaign process: scipy loads only on the sparse paths,
+the process pool only when a plan runs on more than one worker.
 
 Every check runs in a fresh interpreter (the ``run_fresh`` fixture).
 """
@@ -12,6 +13,26 @@ import numpy as np
 
 SMOKE_CONFIG = (Path(__file__).resolve().parent.parent
                 / "examples" / "campaign_smoke.json")
+
+#: What a process pool drags in; a serial run must load none of it.
+POOL_MODULES = ("multiprocessing", "concurrent.futures.process",
+                "repro.parallel.pool")
+
+#: A first in-memory spur sweep on a tiny, already-extracted flow.
+_SWEEP = """
+    import json, sys
+    from repro.core.flow import FlowOptions
+    from repro.core.vco_experiment import VcoExperimentOptions, VcoImpactAnalysis
+    from repro.substrate.extraction import SubstrateExtractionOptions
+    from repro.technology import make_technology
+
+    options = VcoExperimentOptions(
+        vtune_values=(0.0, 0.75), noise_frequencies=(1e6, 4e6),
+        flow=FlowOptions(substrate=SubstrateExtractionOptions(
+            nx=12, ny=12, n_z_per_layer=2, lateral_margin=60e-6)))
+    analysis = VcoImpactAnalysis(make_technology(), options=options)
+    analysis.flow                      # extract before the sweep: seeded
+"""
 
 
 def test_cli_import_loads_no_scipy(run_fresh):
@@ -37,7 +58,8 @@ def test_cold_and_warm_cli_runs_load_no_scipy(run_fresh, tmp_path):
                              "--result", kind + ".npz"])
             assert code == 0, code
             loaded[kind] = sorted(m for m in sys.modules
-                                  if m.split(".")[0] == "scipy")
+                                  if m.split(".")[0] == "scipy"
+                                  or m in {POOL_MODULES!r})
         print(json.dumps(loaded))
     """, cwd=tmp_path)
     assert out == {"cold": [], "warm": []}
@@ -50,6 +72,33 @@ def test_cold_and_warm_cli_runs_load_no_scipy(run_fresh, tmp_path):
                 (b.dtype, b.shape, b.tobytes()), name
     warm_meta = json.loads((tmp_path / "warm.meta.json").read_text())
     assert warm_meta["cache"]["misses"] == 0
+
+
+def test_serial_spur_sweep_loads_no_pool_or_disk_store(run_fresh):
+    out = run_fresh(_SWEEP + f"""
+    sweep = analysis.spur_sweep()
+    assert len(sweep.vtune_values) == 2
+    print(json.dumps(sorted(
+        m for m in sys.modules
+        if m in {POOL_MODULES!r}
+        or m in ("repro.studies.store", "repro.studies.persist"))))
+    """)
+    assert out == []
+
+
+def test_two_worker_spur_sweep_loads_the_pool(run_fresh):
+    # The budget above is real: a plan on two workers does start the pool.
+    out = run_fresh(_SWEEP + f"""
+    from repro.parallel import WorkScheduler
+
+    serial = analysis.spur_sweep()
+    pooled = analysis.spur_sweep(scheduler=WorkScheduler(max_workers=2))
+    assert all((serial.spur_power_dbm[v] == pooled.spur_power_dbm[v]).all()
+               for v in serial.vtune_values)
+    print(json.dumps(sorted(m for m in sys.modules
+                            if m in {POOL_MODULES!r})))
+    """)
+    assert out == sorted(POOL_MODULES)
 
 
 def test_circuit_above_dense_limit_solves_through_sparse_path(run_fresh):

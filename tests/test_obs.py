@@ -3,7 +3,7 @@
 Covers the acceptance properties of the subsystem:
 
 * hierarchical span nesting, the disabled-tracer no-op fast path, and span
-  re-parenting across :class:`ProcessPoolBackend` worker processes
+  re-parenting across process-pool worker processes
   (including the timeout/retry path's ``on_start`` notifications),
 * the metrics registry's snapshot agrees with the legacy stat records it
   absorbs (``SolverStats``, ``CacheStats``, retry and degradation counts),
@@ -42,6 +42,7 @@ from repro.obs import (
     validate_trace_events,
 )
 from repro.obs.logs import get_logger, verbosity_to_level
+from repro.parallel import WorkScheduler
 from repro.simulator.solver import SolverStats
 from repro.studies import (
     Campaign,
@@ -49,8 +50,6 @@ from repro.studies import (
     FaultPlan,
     FaultSpec,
     ParamSpace,
-    ProcessPoolBackend,
-    SerialBackend,
     SweepRunner,
 )
 from repro.studies.runner import SweepTask
@@ -197,15 +196,11 @@ def test_absorb_adapters_match_legacy_records():
     class _Cache:
         hits, misses, evictions, corrupted = 3, 1, 0, 0
 
-    class _Backend:
-        task_attempts = [1, 3, 1]        # list form (serial/pool backends)
-        pool_rebuilds = 2
-
     reg = MetricsRegistry()
     reg.absorb_solver_stats(stats)
     reg.absorb_cache_stats(_Cache())
     reg.absorb_degradations({"gmin_step": 4})
-    reg.absorb_backend(_Backend())
+    reg.absorb_backend([1, 3, 1], pool_rebuilds=2)   # per-corner list form
     counters = reg.snapshot()["counters"]
     assert counters["solver.factorizations"] == stats.factorizations
     assert counters["solver.solves"] == stats.solves
@@ -218,11 +213,8 @@ def test_absorb_adapters_match_legacy_records():
 
 
 def test_absorb_backend_accepts_attempt_maps():
-    class _Backend:
-        task_attempts = {0: 1, 1: 2}
-
     reg = MetricsRegistry()
-    reg.absorb_backend(_Backend())
+    reg.absorb_backend({"c0": 1, "c1": 2})
     counters = reg.snapshot()["counters"]
     assert counters["campaign.task_attempts"] == 3
     assert counters["campaign.retries"] == 1
@@ -349,7 +341,8 @@ def test_serial_campaign_telemetry_runlog_and_trace(
         technology, obs_campaign, traced, tmp_path):
     corners = _expected_corner_count(obs_campaign)
     cache = ExtractionCache()
-    runner = SweepRunner(technology, backend=SerialBackend(), cache=cache)
+    runner = SweepRunner(technology, scheduler=WorkScheduler(max_workers=1),
+                         cache=cache)
     recorder = RunLogRecorder(tmp_path / "obs.runlog.jsonl")
     result = runner.run(obs_campaign, observer=recorder)
 
@@ -393,7 +386,7 @@ def test_pool_worker_spans_reparent_under_campaign_root(
 
     corners = _expected_corner_count(obs_campaign)
     runner = SweepRunner(technology,
-                         backend=ProcessPoolBackend(max_workers=2),
+                         scheduler=WorkScheduler(max_workers=2),
                          cache=ExtractionCache())
     result = runner.run(obs_campaign)
     assert result.telemetry["spans"]["campaign.corner"]["count"] == corners
@@ -444,30 +437,32 @@ def _echo(task: _EchoTask) -> int:
     return task.index * 10
 
 
-def test_pool_on_start_reports_every_attempt(tmp_path):
+def test_pool_on_start_reports_every_attempt(tmp_path, run_tasks):
     plan = FaultPlan(state_dir=str(tmp_path / "state"),
                      specs=(FaultSpec("hang", task_index=0, attempts=1,
                                       hang_seconds=60.0),))
-    backend = ProcessPoolBackend(max_workers=2, retries=1, task_timeout=1.0,
-                                 backoff_base=0.01, backoff_seed=7)
-    starts: list[tuple[int, int]] = []
-    results = backend.run(plan.wrap(_echo), [_EchoTask(0), _EchoTask(1)],
-                          on_start=lambda index, attempt:
-                          starts.append((index, attempt)))
+    scheduler = WorkScheduler(max_workers=2, retries=1, task_timeout=1.0,
+                              backoff_base=0.01, backoff_seed=7)
+    starts: list[tuple[str, int]] = []
+    results = run_tasks(scheduler, plan.wrap(_echo),
+                        [_EchoTask(0), _EchoTask(1)],
+                        on_start=lambda item_id, attempt:
+                        starts.append((item_id, attempt)))
     assert results == [0, 10]
     # The hung corner was started twice (attempt 1 timed out, attempt 2
     # succeeded); the healthy corner exactly once.
-    assert (0, 1) in starts and (0, 2) in starts
-    assert starts.count((1, 1)) == 1
+    assert ("0", 1) in starts and ("0", 2) in starts
+    assert starts.count(("1", 1)) == 1
 
 
-def test_serial_on_start_counts_attempts(tmp_path):
+def test_serial_on_start_counts_attempts(tmp_path, run_tasks):
     plan = FaultPlan(state_dir=str(tmp_path / "state"),
                      specs=(FaultSpec("raise", task_index=1, attempts=2),))
-    backend = SerialBackend(retries=2)
-    starts: list[tuple[int, int]] = []
-    results = backend.run(plan.wrap(_echo), [_EchoTask(0), _EchoTask(1)],
-                          on_start=lambda index, attempt:
-                          starts.append((index, attempt)))
+    scheduler = WorkScheduler(max_workers=1, retries=2)
+    starts: list[tuple[str, int]] = []
+    results = run_tasks(scheduler, plan.wrap(_echo),
+                        [_EchoTask(0), _EchoTask(1)],
+                        on_start=lambda item_id, attempt:
+                        starts.append((item_id, attempt)))
     assert results == [0, 10]
-    assert starts == [(0, 1), (1, 1), (1, 2), (1, 3)]
+    assert starts == [("0", 1), ("1", 1), ("1", 2), ("1", 3)]

@@ -1,17 +1,16 @@
-"""The unified work scheduler and its shared-memory data plane.
+"""The work scheduler every campaign runs on.
 
 Covers the `repro.parallel` package end to end:
 
 * plan validation (duplicate ids, unknown deps, cycles) and the scheduler's
   dependency/priority dispatch, dependency-failure propagation and retries —
   inline and on real worker processes;
-* the zero-copy arena / shipped-object plane, including the inline fallback;
 * worker-count configuration: the ``REPRO_MAX_WORKERS`` environment
   override and the ``[execution] max_workers`` config key;
-* the fingerprint seam: transport knobs (how a task's flow is shipped) must
-  never invalidate the extraction cache, and the ``[solver]`` table carries
-  no parallelism knob at all;
-* numerical equivalence: a whole campaign on the graph scheduler == serial.
+* the fingerprint seam: the trace context a task carries must never
+  invalidate the extraction cache, and the ``[solver]`` table carries no
+  parallelism knob at all;
+* numerical equivalence: a whole campaign on the process pool == in-process.
 """
 
 from __future__ import annotations
@@ -26,19 +25,15 @@ import pytest
 from repro.core.flow import FlowOptions
 from repro.core.vco_experiment import VcoExperimentOptions
 from repro.errors import AnalysisError
+from repro.obs import TraceContext
 from repro.parallel import (
     MAX_WORKERS_ENV,
-    SharedArena,
     WorkItem,
     WorkScheduler,
-    attach_arena,
     default_max_workers,
-    load_object,
-    ship_object,
     validate_plan,
 )
 from repro.parallel.plan import TaskFailure
-from repro.parallel.shm import InlineArena, InlineObjectRef, ObjectShipper
 from repro.simulator.linalg import SolverOptions
 from repro.studies import (
     Campaign,
@@ -46,7 +41,7 @@ from repro.studies import (
     FaultPlan,
     FaultSpec,
     ParamSpace,
-    ProcessPoolBackend,
+    SweepResult,
     SweepRunner,
 )
 from repro.studies.cache import fingerprint
@@ -181,65 +176,6 @@ def test_scheduler_propagates_failures_across_processes():
     assert scheduler.attempts["c"] == 0
 
 
-# -- shared-memory data plane -------------------------------------------------
-
-
-def test_arena_roundtrip_and_output_views():
-    g = np.arange(6, dtype=float)
-    out = np.zeros((2, 3), dtype=complex)
-    arena = SharedArena.create({"g": g, "out": out})
-    try:
-        views = attach_arena(arena.handle)
-        np.testing.assert_array_equal(views["g"], g)
-        if arena.shared:
-            # Writes through an attached view land in the parent's view.
-            views["out"][1] = 1.0 + 2.0j
-            np.testing.assert_array_equal(arena.view("out")[1],
-                                          np.full(3, 1.0 + 2.0j))
-        with pytest.raises(AnalysisError, match="no field named"):
-            arena.view("missing")
-    finally:
-        arena.dispose()
-
-
-def test_arena_inline_fallback(monkeypatch):
-    import repro.parallel.shm as shm
-
-    monkeypatch.setattr(shm, "_shared_memory", None)
-    arena = SharedArena.create({"g": np.ones(3)})
-    assert isinstance(arena, InlineArena) and not arena.shared
-    views = attach_arena(arena.handle)
-    np.testing.assert_array_equal(views["g"], np.ones(3))
-    arena.dispose()
-
-
-def test_ship_object_roundtrip_and_shipper_memoization():
-    payload = {"flow": np.linspace(0.0, 1.0, 7), "label": "variant-0"}
-    ref, arena = ship_object(payload)
-    try:
-        loaded = load_object(ref)
-        assert loaded["label"] == "variant-0"
-        np.testing.assert_array_equal(loaded["flow"], payload["flow"])
-    finally:
-        if arena is not None:
-            arena.dispose()
-    shipper = ObjectShipper()
-    try:
-        first = shipper.ref_for("key", payload)
-        assert shipper.ref_for("key", payload) is first
-    finally:
-        shipper.close()
-
-
-def test_inline_object_ref_roundtrip(monkeypatch):
-    import repro.parallel.shm as shm
-
-    monkeypatch.setattr(shm, "_shared_memory", None)
-    ref, arena = ship_object([1, 2, 3])
-    assert isinstance(ref, InlineObjectRef) and arena is None
-    assert load_object(ref) == [1, 2, 3]
-
-
 # -- worker-count configuration -----------------------------------------------
 
 
@@ -250,7 +186,7 @@ def test_default_max_workers_env_override(monkeypatch):
     assert default_max_workers() == min(4, os.cpu_count() or 1)
     monkeypatch.setenv(MAX_WORKERS_ENV, "7")
     assert default_max_workers() == 7
-    assert ProcessPoolBackend().max_workers == 7
+    assert WorkScheduler().max_workers == 7
 
 
 @pytest.mark.parametrize("raw, match", [
@@ -273,9 +209,9 @@ def test_execution_table_max_workers_key(tmp_path):
         "[axes]\nvtune = [0.0]\nnoise_frequency = [1e6]\n"
         '[execution]\nbackend = "process-pool"\nmax_workers = 3\n')
     execution = load_campaign_config(config).execution
-    backend = execution.make_backend()
-    assert isinstance(backend, ProcessPoolBackend)
-    assert backend.max_workers == 3
+    scheduler = execution.make_scheduler()
+    assert isinstance(scheduler, WorkScheduler)
+    assert scheduler.max_workers == 3
 
 
 def test_execution_settings_worker_alias_validation():
@@ -311,9 +247,9 @@ def test_sweep_task_fingerprint_ignores_flow_transport(technology):
                      options=campaign.options, injected_power_dbm=-10.0,
                      vtune=0.0, noise_frequencies=(1e6,), flow=None,
                      first_point_index=0)
-    assert "flow_ref" in SweepTask.__fingerprint_exclude__
-    shipped = replace(task, flow_ref=InlineObjectRef(payload=b"flow-bytes"))
-    assert fingerprint(task) == fingerprint(shipped)
+    assert SweepTask.__fingerprint_exclude__ == ("trace",)
+    traced = replace(task, trace=TraceContext("trace-x", "parent-y"))
+    assert fingerprint(task) == fingerprint(traced)
 
 
 # -- worker heartbeats -------------------------------
@@ -355,7 +291,7 @@ def test_scheduler_heartbeat_detects_silently_wedged_worker(tmp_path):
     assert elapsed < 120.0                       # long before task_timeout
 
 
-# -- campaign-level equivalence on the graph scheduler ------------------------
+# -- campaign-level equivalence on the process pool ---------------------------
 
 
 def _layout_campaign() -> Campaign:
@@ -376,10 +312,9 @@ def test_graph_campaign_bit_identical_to_serial(technology, tmp_path):
     ).run(campaign)
 
     # Cold cache: extractions run as plan items, corners depend on them and
-    # receive the flow through shared memory.
-    pool_backend = ProcessPoolBackend(max_workers=2)
+    # receive the flow pickled with their task.
     cache = DiskExtractionCache(tmp_path / "graph")
-    graph = SweepRunner(technology, backend=pool_backend,
+    graph = SweepRunner(technology, scheduler=WorkScheduler(max_workers=2),
                         cache=cache).run(campaign)
     assert not graph.failures
     assert graph.cache_misses == 2 and graph.cache_hits == 0
@@ -388,7 +323,7 @@ def test_graph_campaign_bit_identical_to_serial(technology, tmp_path):
 
     # Re-run against the warm cache with a different worker count: every
     # extraction must hit (parallelism knobs are fingerprint-excluded).
-    warm = SweepRunner(technology, backend=ProcessPoolBackend(max_workers=3),
+    warm = SweepRunner(technology, scheduler=WorkScheduler(max_workers=3),
                        cache=cache).run(campaign)
     assert warm.cache_misses == 0 and warm.cache_hits == 2
     np.testing.assert_array_equal(warm.column("spur_power_dbm"),
@@ -405,9 +340,9 @@ def test_graph_campaign_reports_extraction_failure_per_corner(
         raise RuntimeError("substrate mesher exploded")
 
     monkeypatch.setattr(runner_module, "_execute_extraction", sabotage)
-    # Single worker => the inline graph path; the monkeypatched module
-    # global is visible because nothing needs to cross a process boundary.
-    runner = SweepRunner(technology, backend=ProcessPoolBackend(max_workers=1),
+    # The default single worker runs the plan in-process; the monkeypatched
+    # module global is visible because nothing crosses a process boundary.
+    runner = SweepRunner(technology,
                          cache=DiskExtractionCache(tmp_path / "cache"),
                          on_error="skip")
     result = runner.run(campaign)
@@ -417,3 +352,7 @@ def test_graph_campaign_reports_extraction_failure_per_corner(
         assert "extraction of variant" in failure.corner_label
         assert failure.variant_index >= 0
     assert not result.records
+    assert [variant.flow for variant in result.variants] == [None, None]
+    # The partial result round-trips even with zero records.
+    saved, _ = result.save(tmp_path / "empty.npz")
+    assert len(SweepResult.load(saved).failures) == 2

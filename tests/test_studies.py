@@ -7,8 +7,8 @@ Covers the acceptance properties of the subsystem:
   changes,
 * a layout-invariant sweep extracts exactly once, warm re-runs extract zero
   times, and layout sweeps re-extract only the changed variants,
-* the process-pool backend produces numerically identical results to the
-  serial backend (<= 1e-12),
+* a 2-worker process pool produces numerically identical results to the
+  in-process single worker (<= 1e-12), under invariant labels and counters,
 * the tidy result store answers the summary queries the figures need.
 
 All sweeps here run on a deliberately tiny substrate mesh — the engine's
@@ -30,12 +30,11 @@ from repro.core.vco_experiment import (
 )
 from repro.errors import AnalysisError
 from repro.layout.testchips import VcoLayoutSpec, make_vco_testchip
+from repro.parallel import WorkScheduler
 from repro.studies import (
     Campaign,
     ExtractionCache,
     ParamSpace,
-    ProcessPoolBackend,
-    SerialBackend,
     SweepRunner,
     fingerprint,
 )
@@ -177,14 +176,14 @@ def test_layout_sweep_reextracts_only_changed_variants(technology, sweep_options
     assert sweep.variants[0].cache_key != sweep.variants[1].cache_key
 
 
-# -- backend equivalence --------------------------------------------------------------
+# -- worker-count equivalence ---------------------------------------------------------
 
 
 def test_process_pool_matches_serial(technology, campaign):
     cache = ExtractionCache()
-    serial = SweepRunner(technology, backend=SerialBackend(),
+    serial = SweepRunner(technology, scheduler=WorkScheduler(max_workers=1),
                          cache=cache).run(campaign)
-    sharded = SweepRunner(technology, backend=ProcessPoolBackend(max_workers=2),
+    sharded = SweepRunner(technology, scheduler=WorkScheduler(max_workers=2),
                           cache=cache).run(campaign)
     assert len(serial) == len(sharded) == 6
     assert [r.point_index for r in serial.records] == \
@@ -195,13 +194,22 @@ def test_process_pool_matches_serial(technology, campaign):
                              - sharded.column(column))) <= 1e-12
     # The sharded run reused the serial run's extraction.
     assert sharded.cache_misses == 0
+    # Labels and attempt telemetry do not depend on the worker count: the
+    # cold serial run's extraction item is not a campaign task.
+    assert serial.backend_name == "serial"
+    assert sharded.backend_name == "process-pool[2]"
+    powers, vtunes, _ = campaign.sim_grid()
+    corners = len(campaign.variants()) * len(powers) * len(vtunes)
+    attempts = [result.telemetry["metrics"]["counters"]
+                ["campaign.task_attempts"] for result in (serial, sharded)]
+    assert attempts == [corners, corners]
 
 
 def test_spur_sweep_backend_equivalence(technology, sweep_options):
     analysis = VcoImpactAnalysis(technology, options=sweep_options)
     cache = ExtractionCache()
     serial = analysis.spur_sweep(cache=cache)
-    sharded = analysis.spur_sweep(backend=ProcessPoolBackend(max_workers=2),
+    sharded = analysis.spur_sweep(scheduler=WorkScheduler(max_workers=2),
                                   cache=cache)
     # The seeded cache means neither run extracts anything.
     assert cache.misses == 0

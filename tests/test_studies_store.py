@@ -11,8 +11,8 @@ Covers the acceptance invariants of the persistent campaign store:
   tidy column), not merely close,
 * resume-after-kill completes only the missing corners and reproduces the
   uninterrupted result exactly,
-* the process-pool backend records per-task attempts and names the failing
-  corner when it gives up.
+* the work scheduler (in-process and on the pool) records per-task attempts
+  and names the failing corner when it gives up.
 """
 
 from __future__ import annotations
@@ -27,13 +27,12 @@ import pytest
 from repro.core.flow import FlowOptions
 from repro.core.vco_experiment import VcoExperimentOptions, ground_resistance_study
 from repro.errors import AnalysisError
+from repro.parallel import WorkScheduler
 from repro.studies import (
     Campaign,
     CacheCorruptionWarning,
     DiskExtractionCache,
     ParamSpace,
-    ProcessPoolBackend,
-    SerialBackend,
     SweepResult,
     SweepRunner,
 )
@@ -317,16 +316,10 @@ def test_merge_rejects_different_campaigns(technology, store_options,
 # -- resume -------------------------------------------------------------------
 
 
-class _CountingBackend(SerialBackend):
-    """Serial backend that records how many tasks it actually executed."""
-
-    def __init__(self):
-        super().__init__()
-        self.executed = 0
-
-    def run(self, fn, tasks, **kwargs):
-        self.executed += len(tasks)
-        return super().run(fn, tasks, **kwargs)
+def _corner_attempts(scheduler: WorkScheduler) -> int:
+    """Corner attempts of the scheduler's last run (extractions excluded)."""
+    return sum(count for item_id, count in scheduler.attempts.items()
+               if item_id.startswith("c"))
 
 
 def test_resume_after_kill_completes_only_missing_corners(
@@ -341,12 +334,12 @@ def test_resume_after_kill_completes_only_missing_corners(
     stored = SweepResult.load(tmp_path / "partial.npz")
     assert len(stored) == 2
 
-    backend = _CountingBackend()
-    resumed = SweepRunner(technology, backend=backend,
+    scheduler = WorkScheduler(max_workers=1)
+    resumed = SweepRunner(technology, scheduler=scheduler,
                           cache=DiskExtractionCache(cache_dir)).run(
         store_campaign, resume_from=stored)
     # One corner was stored, one was pending: exactly one task executed.
-    assert backend.executed == 1
+    assert _corner_attempts(scheduler) == 1
     assert [r.point_index for r in resumed.records] == [0, 1, 2, 3]
     np.testing.assert_array_equal(resumed.column("spur_power_dbm"),
                                   full.column("spur_power_dbm"))
@@ -357,11 +350,11 @@ def test_resume_after_kill_completes_only_missing_corners(
 def test_resume_with_complete_result_executes_nothing(
         technology, store_campaign, reference_result):
     full, cache_dir = reference_result
-    backend = _CountingBackend()
+    scheduler = WorkScheduler(max_workers=1)
     cache = DiskExtractionCache(cache_dir)
-    resumed = SweepRunner(technology, backend=backend, cache=cache).run(
+    resumed = SweepRunner(technology, scheduler=scheduler, cache=cache).run(
         store_campaign, resume_from=full)
-    assert backend.executed == 0
+    assert _corner_attempts(scheduler) == 0
     assert cache.stats.misses == 0         # fully-done variants never extract
     np.testing.assert_array_equal(resumed.column("spur_power_dbm"),
                                   full.column("spur_power_dbm"))
@@ -394,7 +387,7 @@ def test_ground_resistance_study_accepts_cache_dir(technology, store_options,
                                 cache_dir=tmp_path / "c2")
 
 
-# -- backend retry bookkeeping ------------------------------------------------
+# -- scheduler retry bookkeeping ----------------------------------------------
 
 
 @dataclasses.dataclass(frozen=True)
@@ -416,24 +409,24 @@ def _run_flaky(task: _FlakyTask) -> int:
     return task.value * 10
 
 
-def test_single_worker_retries_and_counts_attempts(tmp_path):
-    backend = ProcessPoolBackend(max_workers=1, retries=2)
+def test_single_worker_retries_and_counts_attempts(tmp_path, run_tasks):
+    scheduler = WorkScheduler(max_workers=1, retries=2)
     task = _FlakyTask(sentinel=str(tmp_path / "sentinel"), value=3)
-    assert backend.run(_run_flaky, [task]) == [30]
-    assert backend.task_attempts == [2]
+    assert run_tasks(scheduler, _run_flaky, [task]) == [30]
+    assert scheduler.attempts == {"0": 2}
 
 
-def test_pool_retries_transient_failure(tmp_path):
-    backend = ProcessPoolBackend(max_workers=2, retries=1)
+def test_pool_retries_transient_failure(tmp_path, run_tasks):
+    scheduler = WorkScheduler(max_workers=2, retries=1)
     tasks = [_FlakyTask(sentinel=str(tmp_path / "a"), value=1),
              _FlakyTask(sentinel=str(tmp_path / "b"), value=2)]
     # Pre-create one sentinel: that task succeeds first try, the other
     # fails once and succeeds on the retry.
     with open(tasks[1].sentinel, "w") as handle:
         handle.write("ok")
-    assert backend.run(_run_flaky, tasks) == [10, 20]
-    assert backend.task_attempts[1] == 1
-    assert backend.task_attempts[0] == 2
+    assert run_tasks(scheduler, _run_flaky, tasks) == [10, 20]
+    assert scheduler.attempts["1"] == 1
+    assert scheduler.attempts["0"] == 2
 
 
 def _crash_worker(task: _FlakyTask) -> int:
@@ -445,42 +438,42 @@ def _crash_worker(task: _FlakyTask) -> int:
     return task.value * 10
 
 
-def test_pool_survives_crashed_worker(tmp_path):
-    backend = ProcessPoolBackend(max_workers=2, retries=1)
+def test_pool_survives_crashed_worker(tmp_path, run_tasks):
+    scheduler = WorkScheduler(max_workers=2, retries=1)
     tasks = [_FlakyTask(sentinel=str(tmp_path / "crash"), value=1),
              _FlakyTask(sentinel=str(tmp_path / "fine"), value=2)]
     with open(tasks[1].sentinel, "w") as handle:
         handle.write("ok")
     # Task 0 kills its worker (breaking the executor mid-round); a fresh
     # pool must finish both tasks on the second attempt.
-    assert backend.run(_crash_worker, tasks) == [10, 20]
-    assert backend.task_attempts[0] == 2
+    assert run_tasks(scheduler, _crash_worker, tasks) == [10, 20]
+    assert scheduler.attempts["0"] == 2
 
 
-def test_pool_crash_with_no_retries_names_a_corner(tmp_path):
-    backend = ProcessPoolBackend(max_workers=2, retries=0)
+def test_pool_crash_with_no_retries_names_a_corner(tmp_path, run_tasks):
+    scheduler = WorkScheduler(max_workers=2, retries=0)
     tasks = [_FlakyTask(sentinel=str(tmp_path / "boom"), value=1),
              _FlakyTask(sentinel=str(tmp_path / "boom2"), value=2)]
     with pytest.raises(AnalysisError, match="flaky corner"):
-        backend.run(_crash_worker, tasks)
+        run_tasks(scheduler, _crash_worker, tasks)
 
 
 def _always_fails(task: _FlakyTask) -> int:
     raise ValueError("permanent failure")
 
 
-def test_exhausted_retries_name_the_corner(tmp_path):
-    backend = ProcessPoolBackend(max_workers=1, retries=1)
+def test_exhausted_retries_name_the_corner(tmp_path, run_tasks):
+    scheduler = WorkScheduler(max_workers=1, retries=1)
     task = _FlakyTask(sentinel=str(tmp_path / "never"), value=7)
     with pytest.raises(AnalysisError,
                        match=r"after 2 attempt.*flaky corner value=7"):
-        backend.run(_always_fails, [task])
-    assert backend.task_attempts == [2]
+        run_tasks(scheduler, _always_fails, [task])
+    assert scheduler.attempts == {"0": 2}
 
 
-def test_pool_exhausted_retries_raise(tmp_path):
-    backend = ProcessPoolBackend(max_workers=2, retries=0)
+def test_pool_exhausted_retries_raise(tmp_path, run_tasks):
+    scheduler = WorkScheduler(max_workers=2, retries=0)
     tasks = [_FlakyTask(sentinel=str(tmp_path / "x"), value=1),
              _FlakyTask(sentinel=str(tmp_path / "y"), value=2)]
     with pytest.raises(AnalysisError, match="flaky corner"):
-        backend.run(_always_fails, tasks)
+        run_tasks(scheduler, _always_fails, tasks)
